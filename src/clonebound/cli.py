@@ -9,6 +9,7 @@ random draw flows from --seed, which defaults to 0, never the clock.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,7 +41,12 @@ _DOMAIN_ERRORS = (TargetOutOfRange, DegeneratePair, IndistinguishablePair,
                   SoundnessViolation)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    parse_args keeps no state in it; callers must not add arguments to it.
+    """
     p = argparse.ArgumentParser(
         prog="clonebound",
         description="Cloning error bounds: verification, evaluation, search.",

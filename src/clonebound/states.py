@@ -5,11 +5,15 @@ purifications of rho1, rho2, their inner product can always be written as
 Tr(sqrt(rho1) sqrt(rho2) V) with V unitary, and every V arises this way. The
 maximum over V equals sqrt(F); a zero is always reachable for d >= 2; and a
 continuous path between those two unitaries sweeps every value in between.
+Along the path V0 (V0^dagger Vmax)^t used here the overlap has a closed form,
+sqrt(F) times a scalar function of t and d alone, so a target overlap is
+found by a scalar root search and the unitary is built once, at the root.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,6 +112,10 @@ class OverlapUnitaryResult:
     v: np.ndarray
     achieved_overlap: float
     path_parameter: float
+    # (sqrt(rho1), sqrt(rho2)) behind v, so purifications_with_overlap
+    # need not take the square roots a second time
+    _roots: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
 
 def _check_same_dim(chi: DensityMatrix, omega: DensityMatrix) -> int:
@@ -192,8 +200,12 @@ def overlap_under(v, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
                               @ linalg.sqrt_psd(rho2.matrix) @ a)))
 
 
-def _overlap_svd(rho1: DensityMatrix, rho2: DensityMatrix):
-    m = linalg.sqrt_psd(rho1.matrix) @ linalg.sqrt_psd(rho2.matrix)
+def _roots(rho1: DensityMatrix, rho2: DensityMatrix):
+    return linalg.sqrt_psd(rho1.matrix), linalg.sqrt_psd(rho2.matrix)
+
+
+def _overlap_svd(a: np.ndarray, b: np.ndarray):
+    m = a @ b
     p, s, qh = np.linalg.svd(m)
     return m, p, s, qh
 
@@ -205,7 +217,7 @@ def max_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUnit
     which turns the trace into the sum of singular values.
     """
     _check_same_dim(rho1, rho2)
-    m, p, _, qh = _overlap_svd(rho1, rho2)
+    m, p, _, qh = _overlap_svd(*_roots(rho1, rho2))
     v = qh.conj().T @ p.conj().T
     return OverlapUnitaryResult(v, float(abs(np.trace(m @ v))), 1.0)
 
@@ -224,9 +236,20 @@ def zero_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUni
     d = _check_same_dim(rho1, rho2)
     if d < 2:
         raise DimTooSmall("no zero-overlap unitary in dimension 1")
-    m, p, _, qh = _overlap_svd(rho1, rho2)
+    m, p, _, qh = _overlap_svd(*_roots(rho1, rho2))
     v = qh.conj().T @ _cyclic_shift(d) @ p.conj().T
     return OverlapUnitaryResult(v, float(abs(np.trace(m @ v))), 0.0)
+
+
+def _root_phases(d: int) -> np.ndarray:
+    """Phases of the d-th roots of unity on the branch (-pi, pi]."""
+    return 2.0 * np.pi * (np.arange(d) - (d - 1) // 2) / d
+
+
+def _path_profile(t, d: int):
+    """|c_d(t)| = |(1/d) sum_k exp(i (t-1) theta_k)|, vectorised over t."""
+    s = np.multiply.outer(np.subtract(t, 1.0), _root_phases(d))
+    return np.abs(np.exp(1j * s).sum(axis=-1)) / d
 
 
 def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix, phi: float,
@@ -234,17 +257,42 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix, phi: float,
     """A unitary whose overlap equals ``phi`` within tol_root.
 
     Walks the path V(t) = V0 * (V0^dagger Vmax)^t from the zero-overlap
-    unitary (t=0) to the maximal one (t=1). The overlap g(t) is continuous
-    with g(0)=0 and g(1)=sqrt(F) but not guaranteed monotone, so a sign
-    bracket of g(t) - phi is located on a 64-point uniform grid first and
-    then bisected.
+    unitary (t=0) to the maximal one (t=1). A sign bracket of g(t) - phi is
+    located on a 64-point uniform grid first and then bisected; V(t) is
+    built once, at the root.
+
+    The overlap along the path is known in closed form, so neither the grid
+    nor the bisection builds a matrix. With sqrt(rho1) sqrt(rho2) =
+    P Sigma Q^dagger, V0 = Q C P^dagger and Vmax = Q P^dagger, the step
+    V0^dagger Vmax is P C^dagger P^dagger and Tr(sqrt(rho1) sqrt(rho2) V(t))
+    = Tr(Sigma C (C^dagger)^t). The matrix C (C^dagger)^t is circulant, so
+    its diagonal is constant and g(t) = sqrt(F) |c_d(t)|, sqrt(F) = Tr Sigma,
+    with c_d(t) = (1/d) sum_k exp(i (t-1) theta_k) and theta_k the phases
+    of the d-th roots of unity on (-pi, pi]. With s = 1 - t and odd d, c_d
+    is real, c_d = sin(pi s) / (d sin(pi s / d)); for even d it is that
+    value times a phase. The log-derivative of that value in s is
+    (h(pi s) - h(pi s / d)) / s with h(x) = x cot(x), which decreases on
+    (0, pi), so |c_d| falls strictly in s on (0, 1) for every d and g rises
+    from 0 to sqrt(F). The grid bracket is kept as the runtime guard of
+    that for every d up to linalg.MAX_DIM.
     """
     d = _check_same_dim(rho1, rho2)
     if d < 2:
         raise DimTooSmall("dimension 1 admits only overlap 1")
     target = float(phi)
-    m, p, s, qh = _overlap_svd(rho1, rho2)
-    sqrt_f = min(float(np.sum(s)), 1.0)
+    roots = _roots(rho1, rho2)
+    res = _walk_to_overlap(*roots, target, tol_root)
+    res._roots = roots
+    return res
+
+
+def _walk_to_overlap(a: np.ndarray, b: np.ndarray, target: float,
+                     tol_root: float) -> OverlapUnitaryResult:
+    """target_overlap_unitary on the square roots a = sqrt(rho1), b = sqrt(rho2)."""
+    d = a.shape[0]
+    m, p, s, qh = _overlap_svd(a, b)
+    sum_s = float(np.sum(s))
+    sqrt_f = min(sum_s, 1.0)
     if not -1e-12 <= target <= sqrt_f + 1e-9:
         raise TargetOutOfRange(f"phi={target} outside [0, sqrt(F)={sqrt_f}]")
     target = min(max(target, 0.0), sqrt_f)
@@ -256,34 +304,28 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix, phi: float,
     if target >= sqrt_f - tol_root:
         return OverlapUnitaryResult(v_max, float(abs(np.trace(m @ v_max))), 1.0)
 
-    step = v_zero.conj().T @ v_max
-
-    def walk(t: float):
-        v = v_zero @ linalg.unitary_power(step, t)
-        return v, float(abs(np.trace(m @ v)))
-
     ts = np.linspace(0.0, 1.0, _BRACKET_SAMPLES)
-    gs = [walk(t)[1] for t in ts]
-    lo = hi = None
-    for i in range(_BRACKET_SAMPLES - 1):
-        if (gs[i] - target) * (gs[i + 1] - target) <= 0.0:
-            lo, g_lo = ts[i], gs[i]
-            hi = ts[i + 1]
-            break
-    if lo is None:  # cannot happen for continuous g, kept as a hard stop
+    gs = sum_s * _path_profile(ts, d)
+    hits = np.flatnonzero((gs[:-1] - target) * (gs[1:] - target) <= 0.0)
+    if hits.size == 0:  # cannot happen for continuous g, kept as a hard stop
         raise TargetOutOfRange(f"no bracket found for phi={target}")
+    i = hits[0]
+    lo, g_lo, hi = float(ts[i]), float(gs[i]), float(ts[i + 1])
 
-    v_mid, g_mid, mid = None, None, lo
+    phases = _root_phases(d).tolist()
+    mid = lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        v_mid, g_mid = walk(mid)
+        w = 1j * (mid - 1.0)
+        g_mid = sum_s * abs(sum(cmath.exp(w * x) for x in phases)) / d
         if abs(g_mid - target) <= tol_root:
             break
         if (g_lo - target) * (g_mid - target) <= 0.0:
             hi = mid
         else:
             lo, g_lo = mid, g_mid
-    return OverlapUnitaryResult(v_mid, g_mid, float(mid))
+    v = v_zero @ linalg.unitary_power(v_zero.conj().T @ v_max, mid)
+    return OverlapUnitaryResult(v, float(abs(np.trace(m @ v))), float(mid))
 
 
 def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -293,13 +335,11 @@ def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
     Both marginals over the second factor recover the inputs; phi can be any
     value in [0, sqrt(F(rho1, rho2))].
     """
-    d = _check_same_dim(rho1, rho2)
     res = target_overlap_unitary(rho1, rho2, phi)
-    a = linalg.sqrt_psd(rho1.matrix)
-    b = linalg.sqrt_psd(rho2.matrix) @ res.v
+    a, b = res._roots
     # amp[x*d + i] = A[x, i] purifies A A^dagger with overlap Tr(A^dagger B)
     y1 = a.reshape(-1)
-    y2 = b.reshape(-1)
+    y2 = (b @ res.v).reshape(-1)
     return (PureState(y1 / np.linalg.norm(y1)),
             PureState(y2 / np.linalg.norm(y2)))
 

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own code paths: fidelity
 goes through scipy's sqrtm instead of singular values, the partial trace is
 an explicit index loop, matrix exponentials come from scipy, and the
 purification-overlap maximum is found variationally with a generic
-optimizer rather than in closed form.
+optimizer rather than in closed form, and the overlap path is walked with a
+Schur-form matrix power at every point instead of its scalar closed form.
 """
 
 import numpy as np
@@ -113,3 +114,69 @@ def variational_max_overlap(rho1: np.ndarray, rho2: np.ndarray,
         res = scipy.optimize.minimize(neg_overlap, x0, method="L-BFGS-B")
         best = max(best, -float(res.fun))
     return best
+
+
+def _schur_power(u: np.ndarray, t: float) -> np.ndarray:
+    """u**t on the eigenphase branch (-pi, pi], via the complex Schur form."""
+    tri, w = sla.schur(u, output="complex")
+    theta = np.angle(np.diagonal(tri))
+    theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
+    return (w * np.exp(1j * float(t) * theta)) @ w.conj().T
+
+
+def _overlap_path(a: np.ndarray, b: np.ndarray):
+    """m = a b, the path start V0 = Q C P^dagger and step V0^dagger Vmax."""
+    m = a @ b
+    p, s, qh = np.linalg.svd(m)
+    d = m.shape[0]
+    v_max = qh.conj().T @ p.conj().T
+    v_zero = qh.conj().T @ np.roll(np.eye(d, dtype=complex), 1, axis=0) @ p.conj().T
+    return m, s, v_max, v_zero
+
+
+def schur_path_overlap(a: np.ndarray, b: np.ndarray, t: float) -> float:
+    """|Tr(a b V0 step^t)| on the overlap path, with a matrix power."""
+    m, _, v_max, v_zero = _overlap_path(a, b)
+    return float(abs(np.trace(m @ v_zero @ _schur_power(v_zero.conj().T @ v_max, t))))
+
+
+def schur_walk_target_overlap(a: np.ndarray, b: np.ndarray, phi: float,
+                              tol_root: float = 1e-10, samples: int = 64):
+    """The purification-overlap walk with a Schur power at every point.
+
+    a and b are sqrt(rho1) and sqrt(rho2). V(t) = V0 (V0^dagger Vmax)^t is
+    evaluated as a matrix at each of ``samples`` grid points, which locate
+    a sign bracket of |Tr(a b V(t))| - phi, and at each bisection step.
+    Returns (v, achieved overlap, path parameter).
+    """
+    m, s, v_max, v_zero = _overlap_path(a, b)
+    sqrt_f = min(float(np.sum(s)), 1.0)
+    target = min(max(float(phi), 0.0), sqrt_f)
+    if target <= tol_root:
+        return v_zero, float(abs(np.trace(m @ v_zero))), 0.0
+    if target >= sqrt_f - tol_root:
+        return v_max, float(abs(np.trace(m @ v_max))), 1.0
+    step = v_zero.conj().T @ v_max
+
+    def walk(t):
+        v = v_zero @ _schur_power(step, t)
+        return v, float(abs(np.trace(m @ v)))
+
+    ts = np.linspace(0.0, 1.0, samples)
+    gs = [walk(t)[1] for t in ts]
+    for i in range(samples - 1):
+        if (gs[i] - target) * (gs[i + 1] - target) <= 0.0:
+            lo, g_lo, hi = ts[i], gs[i], ts[i + 1]
+            break
+    else:
+        raise ValueError(f"no bracket found for phi={target}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        v_mid, g_mid = walk(mid)
+        if abs(g_mid - target) <= tol_root:
+            break
+        if (g_lo - target) * (g_mid - target) <= 0.0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+    return v_mid, g_mid, float(mid)

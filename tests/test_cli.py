@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from clonebound.cli import main
+from clonebound.cli import build_parser, main
 from clonebound.cloning import lower_bound
 from clonebound.states import DensityMatrix, random_density
 
@@ -138,6 +138,27 @@ def test_optimize_flags_override_config(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()  # same effective seed
     doc = json.loads(out1.read_text())
     assert doc["config"]["seed"] == 3
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # one parser serves every call; no call's flags may reach the next
+    assert build_parser() is build_parser()
+    assert main(["bound", "--f", "0.6", "--phi", "1", "--bogus"]) == 2
+    assert main(["bound", "--f", "0.6", "--phi", "1"]) == 0
+    assert float(capsys.readouterr().out) == lower_bound(0.6, 1.0, 1, 2)
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "restricted": True, "iterations": 20,
+                               "restarts": 1, "seed": 3}))
+    out1 = tmp_path / "r1.json"
+    out2 = tmp_path / "r2.json"
+    assert main(["optimize", "--config", str(cfg), "--seed", "5",
+                 "--out", str(out1)]) == 0
+    assert main(["optimize", "--config", str(cfg), "--out", str(out2)]) == 0
+    assert json.loads(out1.read_text())["config"]["seed"] == 5
+    assert json.loads(out2.read_text())["config"]["seed"] == 3
+    capsys.readouterr()
 
 
 def test_optimize_csv_summary(tmp_path, capsys):

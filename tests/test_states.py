@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clonebound import linalg
+from clonebound import linalg, states
 from clonebound.errors import (
     BadRank,
     DimMismatch,
@@ -210,6 +210,56 @@ def test_target_overlap_range_errors():
     # just over the cap but within tolerance: clamps instead of failing
     res = target_overlap_unitary(rho1, rho2, cap + 1e-10)
     assert abs(res.achieved_overlap - cap) < 1e-9
+
+
+def _rooted_pair(rng, d, r1, r2):
+    rho1 = DensityMatrix(oracles.random_density(rng, d, r1))
+    rho2 = DensityMatrix(oracles.random_density(rng, d, r2))
+    a, b = linalg.sqrt_psd(rho1.matrix), linalg.sqrt_psd(rho2.matrix)
+    cap = min(float(np.sum(np.linalg.svd(a @ b, compute_uv=False))), 1.0)
+    return rho1, rho2, a, b, cap
+
+
+def test_target_overlap_bit_identical_to_schur_walk():
+    # the closed-form walk takes the same bracket and bisection steps as the
+    # walk that builds a Schur power at every point, so it returns the same bits
+    rng = np.random.default_rng(67)
+    cases = 0
+    for d in range(2, 7):
+        for r1 in range(1, d + 1):
+            for r2 in range(1, d + 1):
+                rho1, rho2, a, b, cap = _rooted_pair(rng, d, r1, r2)
+                for phi in (rng.uniform(0.0, cap), rng.uniform(0.0, cap),
+                            rng.uniform(0.0, 1e-9), cap + rng.uniform(-1e-9, 1e-9)):
+                    res = target_overlap_unitary(rho1, rho2, phi)
+                    v, g, t = oracles.schur_walk_target_overlap(a, b, phi)
+                    assert np.array_equal(res.v, v)
+                    assert res.achieved_overlap == g
+                    assert res.path_parameter == t
+                    cases += 1
+    assert cases >= 300
+
+
+def test_path_overlap_closed_form_matches_schur_power():
+    rng = np.random.default_rng(71)
+    for d in range(2, 7):
+        _, _, a, b, _ = _rooted_pair(rng, d, d, int(rng.integers(1, d + 1)))
+        sum_s = float(np.sum(np.linalg.svd(a @ b, compute_uv=False)))
+        ts = np.linspace(0.0, 1.0, 17)
+        closed = sum_s * states._path_profile(ts, d)
+        for t, g in zip(ts, closed):
+            assert abs(g - oracles.schur_path_overlap(a, b, t)) <= 1e-14
+
+
+def test_path_profile_monotone_with_dirichlet_form():
+    t = np.linspace(0.0, 1.0, 20001)
+    s = 1.0 - t[:-1]
+    for d in range(2, 65):
+        prof = states._path_profile(t, d)
+        assert np.all(np.diff(prof) >= 0.0)  # non-increasing in s = 1 - t
+        assert prof[-1] == 1.0 and prof[0] < 1e-15
+        dirichlet = np.abs(np.sin(np.pi * s) / (d * np.sin(np.pi * s / d)))
+        assert np.max(np.abs(prof[:-1] - dirichlet)) < 1e-14
 
 
 def test_purifications_with_overlap():
