@@ -15,7 +15,6 @@ from .cloning import (
     absolute_error,
     apply_cloning,
     lower_bound,
-    lower_bound_one_to_two,
     perfect_cloning_setup,
     proof_chain_check,
     relative_error,

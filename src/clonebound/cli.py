@@ -9,6 +9,7 @@ random draw flows from --seed, which defaults to 0, never the clock.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .search import (
     OptimizerConfig,
+    _blank_ancilla,
     _fmt17,
     minimize_relative_error,
     restricted_cloner_search,
@@ -182,15 +184,10 @@ def cmd_optimize(args) -> int:
     doc = _load_json(args.config)
     rho1 = _state_from(doc, "rho1")
     rho2 = _state_from(doc, "rho2")
-    cfg = OptimizerConfig(
-        restarts=int(_pick(args.restarts, doc, "restarts", 4)),
-        iterations=int(_pick(args.iterations, doc, "iterations", 500)),
-        initial_step=float(_pick(args.initial_step, doc, "initial_step", 0.5)),
-        step_decay=float(_pick(args.step_decay, doc, "step_decay", 0.9)),
-        seed=int(_pick(args.seed, doc, "seed", 0)),
-        convergence_tol=float(_pick(args.convergence_tol, doc,
-                                    "convergence_tol", 1e-9)),
-    )
+    cfg = OptimizerConfig(**{
+        f.name: type(f.default)(_pick(getattr(args, f.name), doc, f.name, f.default))
+        for f in dataclasses.fields(OptimizerConfig)
+    })
     if doc.get("restricted", False):
         result = restricted_cloner_search(rho1, rho2, cfg)
     else:
@@ -202,10 +199,7 @@ def cmd_optimize(args) -> int:
             ups1 = _state_from(doc, "upsilon1")
             ups2 = _state_from(doc, "upsilon2")
         else:
-            anc_dim = d ** (n_out - n_in) * env_dim
-            blank = np.zeros((anc_dim, anc_dim), dtype=complex)
-            blank[0, 0] = 1.0
-            ups1 = ups2 = DensityMatrix(blank)
+            ups1 = ups2 = _blank_ancilla(d ** (n_out - n_in) * env_dim)
         result = minimize_relative_error(rho1, rho2, ups1, ups2,
                                          dims=(n_in, n_out, env_dim), cfg=cfg)
     if args.format == "csv":

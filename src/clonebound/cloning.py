@@ -29,6 +29,7 @@ from .errors import (
 from .serialize import entries_to_matrix, matrix_to_entries
 from .states import (
     DensityMatrix,
+    _same_state,
     angle,
     fidelity,
     purifications_with_overlap,
@@ -182,35 +183,109 @@ def absolute_error(delta1: float, delta2: float) -> float:
     return math.sin(d1) + math.sin(d2)
 
 
-def _ideal_sine(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int) -> tuple[float, float]:
-    """sin of the angle between the L-fold ideal outputs, cross-checked.
+def _ideal_outputs(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
+    """f, the ideal L-fold outputs and the angle between them, cross-checked.
 
-    The denominator is computed from the actual tensor-power states and must
-    agree with sqrt(1 - f^(2L)) (root-fidelity multiplicativity) within
-    1e-9; disagreement means the inputs or the arithmetic are broken.
+    The angle is computed from the actual tensor-power states, and its sine
+    (the relative error's denominator) must agree with sqrt(1 - f^(2L))
+    (root-fidelity multiplicativity) within 1e-9; disagreement means the
+    inputs or the arithmetic are broken.
     """
     f = math.sqrt(fidelity(rho1, rho2))
     if f >= 1.0 - DEGENERATE_TOL:
         raise IndistinguishablePair(
             f"inputs have root fidelity {f}; relative error is 0/0"
         )
-    ideal1 = tensor_power(rho1, n_out)
-    ideal2 = tensor_power(rho2, n_out)
-    sine = math.sin(angle(ideal1, ideal2))
+    ideals = (tensor_power(rho1, n_out), tensor_power(rho2, n_out))
+    delta = angle(*ideals)
+    sine = math.sin(delta)
     cross = math.sqrt(max(0.0, 1.0 - f ** (2 * n_out)))
     if abs(sine - cross) > 1e-9:
         raise SoundnessViolation(
             f"denominator {sine} disagrees with sqrt(1-f^(2L)) = {cross}"
         )
-    return sine, f
+    return f, ideals, delta
 
 
 def relative_error(delta1: float, delta2: float, rho1: DensityMatrix,
                    rho2: DensityMatrix, n_out: int = 2) -> float:
     """(sin d1 + sin d2) / sin(angle between the ideal L-fold outputs)."""
     numer = absolute_error(delta1, delta2)
-    sine, _ = _ideal_sine(rho1, rho2, n_out)
-    return numer / sine
+    _, _, delta = _ideal_outputs(rho1, rho2, n_out)
+    return numer / math.sin(delta)
+
+
+def _root(m: np.ndarray) -> np.ndarray:
+    """PSD root of a matrix that is Hermitian up to rounding, unvalidated."""
+    return linalg._sqrt_from_eig(*np.linalg.eigh((m + m.conj().T) / 2.0))
+
+
+class _Channel:
+    """A setup's cloning problem, ready to be evaluated under any joint unitary V.
+
+    Built once per problem, it holds what does not depend on V: the joint
+    inputs rho^(x)N (x) upsilon, the ideal L-fold outputs and their roots,
+    f, phi, the bound and the angle between the ideal outputs, whose sine
+    is the relative error's denominator. ``evaluate`` is the one
+    unvalidated evaluation path: the search calls it directly, and
+    apply_cloning wraps its outputs as validated states.
+    """
+
+    def __init__(self, setup: CloningSetup):
+        s = setup
+        self.f, self.ideals, self.ideal_angle = _ideal_outputs(s.rho1, s.rho2, s.n_out)
+        self.denominator = math.sin(self.ideal_angle)
+        self.phi = math.sqrt(fidelity(s.upsilon1, s.upsilon2))
+        self.bound = lower_bound(self.f, self.phi, s.n_in, s.n_out)
+        self.inputs = [linalg.kron(tensor_power(rho, s.n_in).matrix, ups.matrix)
+                       for rho, ups in ((s.rho1, s.upsilon1), (s.rho2, s.upsilon2))]
+        self.ideal_roots = [_root(ideal.matrix) for ideal in self.ideals]
+        self.out_dim, self.env_dim = s.d ** s.n_out, s.env_dim
+
+    def _outputs(self, v: np.ndarray) -> list[np.ndarray]:
+        """Tr_env(V (rho^(x)N (x) upsilon) V^dagger) for both inputs."""
+        o, e = self.out_dim, self.env_dim
+        vh = v.conj().T
+        return [(v @ inp @ vh).reshape(o, e, o, e).trace(axis1=1, axis2=3)
+                for inp in self.inputs]
+
+    @staticmethod
+    def _fidelity(out: np.ndarray, ideal: DensityMatrix, ideal_root: np.ndarray) -> float:
+        s = np.linalg.svd(_root(out) @ ideal_root, compute_uv=False)
+        fid = min(max(float(np.sum(s)) ** 2, 0.0), 1.0)
+        # an exact copy reads F = 1, as in states.fidelity; within 1e-12 in
+        # Frobenius norm, F >= 1 - 7e-11, so only F above 1 - 1e-9 is tested
+        if fid > 1.0 - 1e-9 and _same_state(out, ideal.matrix):
+            return 1.0
+        return fid
+
+    def evaluate(self, v: np.ndarray):
+        """(outputs, fidelities to the ideals, absolute and relative error).
+
+        The outputs are not symmetrized. Raises SoundnessViolation if the
+        relative error lands below the bound minus SOUNDNESS_TOL, which no
+        correct evaluation can do.
+        """
+        outs = self._outputs(v)
+        fids = [self._fidelity(out, ideal, root)
+                for out, ideal, root in zip(outs, self.ideals, self.ideal_roots)]
+        # sin(arccos(sqrt(F))) per branch
+        abs_err = math.sqrt(1.0 - fids[0]) + math.sqrt(1.0 - fids[1])
+        rel_err = abs_err / self.denominator
+        if rel_err < self.bound - SOUNDNESS_TOL:
+            raise SoundnessViolation(
+                f"relative error {rel_err} below bound {self.bound} - {SOUNDNESS_TOL}"
+            )
+        return outs, fids, abs_err, rel_err
+
+    def __call__(self, v: np.ndarray) -> float:
+        return self.evaluate(v)[3]
+
+    def outcome(self, v: np.ndarray) -> CloneOutcome:
+        outs, fids, abs_err, rel_err = self.evaluate(v)
+        out1, out2 = (DensityMatrix((m + m.conj().T) / 2.0) for m in outs)
+        delta1, delta2 = (float(np.arccos(np.sqrt(fid))) for fid in fids)
+        return CloneOutcome(out1, out2, delta1, delta2, abs_err, rel_err)
 
 
 def apply_cloning(setup: CloningSetup) -> CloneOutcome:
@@ -219,27 +294,7 @@ def apply_cloning(setup: CloningSetup) -> CloneOutcome:
     Raises SoundnessViolation if the relative error lands below the lower
     bound minus 1e-8, which no correct evaluation can do.
     """
-    d, n_in, n_out, e = setup.d, setup.n_in, setup.n_out, setup.env_dim
-    out_dim = d ** n_out
-    outs = []
-    for rho, ups in ((setup.rho1, setup.upsilon1), (setup.rho2, setup.upsilon2)):
-        joint = linalg.kron(tensor_power(rho, n_in).matrix, ups.matrix)
-        evolved = setup.v @ joint @ setup.v.conj().T
-        red = linalg.partial_trace(evolved, [out_dim, e], {0})
-        outs.append(DensityMatrix((red + red.conj().T) / 2.0))
-    out1, out2 = outs
-    delta1 = angle(out1, tensor_power(setup.rho1, n_out))
-    delta2 = angle(out2, tensor_power(setup.rho2, n_out))
-    abs_err = absolute_error(delta1, delta2)
-    rel_err = relative_error(delta1, delta2, setup.rho1, setup.rho2, n_out)
-    f = math.sqrt(fidelity(setup.rho1, setup.rho2))
-    phi = math.sqrt(fidelity(setup.upsilon1, setup.upsilon2))
-    floor = lower_bound(f, phi, n_in, n_out)
-    if rel_err < floor - SOUNDNESS_TOL:
-        raise SoundnessViolation(
-            f"relative error {rel_err} below bound {floor} - {SOUNDNESS_TOL}"
-        )
-    return CloneOutcome(out1, out2, delta1, delta2, abs_err, rel_err)
+    return _Channel(setup).outcome(setup.v)
 
 
 def lower_bound(f: float, phi: float, n_in: int = 1, n_out: int = 2) -> float:
@@ -258,22 +313,6 @@ def lower_bound(f: float, phi: float, n_in: int = 1, n_out: int = 2) -> float:
     return (b.f ** b.n_in * b.phi
             - b.f ** b.n_out * math.sqrt(1.0 - b.f ** (2 * b.n_in) * b.phi ** 2)
             / math.sqrt(1.0 - b.f ** (2 * b.n_out)))
-
-
-def lower_bound_one_to_two(f: float, phi: float) -> float:
-    """The 1 -> 2 bound written out directly: f*phi - f^2*sqrt(1-f^2 phi^2)/sqrt(1-f^4).
-
-    Kept as an independent code path; it must agree with lower_bound(f, phi, 1, 2)
-    to within 1e-15.
-    """
-    b = BoundInput(float(f), float(phi), 1, 2)
-    if b.f >= 1.0 - DEGENERATE_TOL:
-        raise DegeneratePair("bound undefined at f = 1 (coinciding inputs)")
-    if b.phi <= b.f:
-        return 0.0
-    return (b.f * b.phi
-            - b.f ** 2 * math.sqrt(1.0 - b.f ** 2 * b.phi ** 2)
-            / math.sqrt(1.0 - b.f ** 4))
 
 
 @dataclass
@@ -315,15 +354,10 @@ def proof_chain_check(setup: CloningSetup) -> ProofChainReport:
     sqrt(1 - f^(2N) phi^2); sines are subadditive on [0, pi/2]; and the
     relative error therefore sits above the closed-form bound.
     """
-    outcome = apply_cloning(setup)
-    n_in, n_out = setup.n_in, setup.n_out
-    f = math.sqrt(fidelity(setup.rho1, setup.rho2))
-    phi = math.sqrt(fidelity(setup.upsilon1, setup.upsilon2))
-    ideal1 = tensor_power(setup.rho1, n_out)
-    ideal2 = tensor_power(setup.rho2, n_out)
-    delta_ideal = angle(ideal1, ideal2)
+    channel = _Channel(setup)
+    outcome = channel.outcome(setup.v)
     delta_out = angle(outcome.out1, outcome.out2)
-    fn_phi = f ** n_in * phi
+    fn_phi = channel.f ** setup.n_in * channel.phi
 
     report = ProofChainReport()
 
@@ -332,15 +366,14 @@ def proof_chain_check(setup: CloningSetup) -> ProofChainReport:
         report.checks.append(ChainCheck(name, lhs, rhs, margin,
                                         margin <= report.slack))
 
-    add("angle_triangle_chain", delta_ideal,
+    add("angle_triangle_chain", channel.ideal_angle,
         outcome.delta1 + outcome.delta2 + delta_out)
     add("output_overlap_floor", fn_phi, math.cos(delta_out))
     add("output_sine_ceiling", math.sin(delta_out),
         math.sqrt(max(0.0, 1.0 - min(1.0, fn_phi ** 2))))
     add("sine_subadditivity", math.sin(outcome.delta1 + outcome.delta2),
         math.sin(outcome.delta1) + math.sin(outcome.delta2))
-    add("relative_error_floor", lower_bound(f, phi, n_in, n_out),
-        outcome.relative_error)
+    add("relative_error_floor", channel.bound, outcome.relative_error)
     return report
 
 

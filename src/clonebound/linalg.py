@@ -81,10 +81,19 @@ def sqrt_psd(m, *, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> np.n
     w, u = hermitian_eig(m, tol_herm=tol_herm)
     if w[0] < -tol_psd:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol_psd:.1e}")
+    r = _sqrt_from_eig(w, u)
+    return (r + r.conj().T) / 2.0
+
+
+def _sqrt_from_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u diag(sqrt(w)) u^dagger, unvalidated: the kernel behind every PSD root.
+
+    Negative eigenvalues clip to 0, and those below 1e-14 of the largest are
+    zeroed as null-space noise (see sqrt_psd).
+    """
     w = np.clip(w, 0.0, None)
     w[w < 1e-14 * max(w[-1], 0.0)] = 0.0
-    r = (u * np.sqrt(w)) @ u.conj().T
-    return (r + r.conj().T) / 2.0
+    return (u * np.sqrt(w)) @ u.conj().T
 
 
 def kron(a, b) -> np.ndarray:

@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .cloning import (
-    SOUNDNESS_TOL,
-    CloningSetup,
-    lower_bound,
-    tensor_power,
-    _ideal_sine,
-)
+from .cloning import SOUNDNESS_TOL, CloningSetup, _Channel, lower_bound
 from .errors import BudgetZero, OutOfRange, SoundnessViolation
 from .measure import POVM, _random_povm_matrices, probabilities, projector_gap
 from .serialize import matrix_to_entries, vector_to_entries
@@ -71,14 +64,7 @@ class OptimizerConfig:
             raise OutOfRange(f"seed {self.seed} must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "initial_step": self.initial_step,
-            "step_decay": self.step_decay,
-            "seed": self.seed,
-            "convergence_tol": self.convergence_tol,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -121,53 +107,11 @@ class SearchResult:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _sqrt_raw(m: np.ndarray) -> np.ndarray:
-    # same null-space noise cutoff as the validated sqrt, minus the checks
-    w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    w[w < 1e-14 * max(w[-1], 0.0)] = 0.0
-    return (u * np.sqrt(w)) @ u.conj().T
-
-
 def _hermitian_from(params: np.ndarray, dim: int, iu) -> np.ndarray:
     n_off = dim * (dim - 1) // 2
     off = np.zeros((dim, dim), dtype=complex)
     off[iu] = params[dim:dim + n_off] + 1j * params[dim + n_off:]
     return off + off.conj().T + np.diag(params[:dim].astype(complex))
-
-
-class _CloneObjective:
-    """Precomputed pieces of the relative-error evaluation for one problem."""
-
-    def __init__(self, rho1, rho2, upsilon1, upsilon2, n_in, n_out, env_dim):
-        d = rho1.dim
-        self.out_dim = d ** n_out
-        self.env_dim = env_dim
-        self.total_dim = self.out_dim * env_dim
-        self.in1 = linalg.kron(tensor_power(rho1, n_in).matrix, upsilon1.matrix)
-        self.in2 = linalg.kron(tensor_power(rho2, n_in).matrix, upsilon2.matrix)
-        self.sqrt_ideal1 = _sqrt_raw(tensor_power(rho1, n_out).matrix)
-        self.sqrt_ideal2 = _sqrt_raw(tensor_power(rho2, n_out).matrix)
-        self.denominator, self.f = _ideal_sine(rho1, rho2, n_out)
-        self.phi = math.sqrt(fidelity(upsilon1, upsilon2))
-        self.bound = lower_bound(self.f, self.phi, n_in, n_out)
-
-    def _branch_sine(self, v, inp, sqrt_ideal) -> float:
-        evolved = v @ inp @ v.conj().T
-        o, e = self.out_dim, self.env_dim
-        red = evolved.reshape(o, e, o, e).trace(axis1=1, axis2=3)
-        s = np.linalg.svd(_sqrt_raw(red) @ sqrt_ideal, compute_uv=False)
-        fid = min(max(float(np.sum(s)) ** 2, 0.0), 1.0)
-        return math.sqrt(1.0 - fid)  # sin(arccos(sqrt(fid)))
-
-    def __call__(self, v: np.ndarray) -> float:
-        r = (self._branch_sine(v, self.in1, self.sqrt_ideal1)
-             + self._branch_sine(v, self.in2, self.sqrt_ideal2)) / self.denominator
-        if r < self.bound - SOUNDNESS_TOL:
-            raise SoundnessViolation(
-                f"evaluated relative error {r} below bound {self.bound}"
-            )
-        return r
 
 
 def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -193,13 +137,11 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
             )
         env_dim = upsilon1.dim // m_extra_dim
     env_dim = int(env_dim)
-    # validates every dimension relation up front
     total = d ** n_out * env_dim
-    CloningSetup(rho1, rho2, upsilon1, upsilon2, np.eye(total, dtype=complex),
-                 n_in, n_out, env_dim)
-
-    objective = _CloneObjective(rho1, rho2, upsilon1, upsilon2,
-                                n_in, n_out, env_dim)
+    # the setup validates every dimension relation up front
+    objective = _Channel(CloningSetup(rho1, rho2, upsilon1, upsilon2,
+                                      np.eye(total, dtype=complex),
+                                      n_in, n_out, env_dim))
     n_params = total * total
     iu = np.triu_indices(total, 1)
 
@@ -266,6 +208,13 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
     )
 
 
+def _blank_ancilla(dim: int) -> DensityMatrix:
+    """The pure blank register |0><0| on C^dim."""
+    blank = np.zeros((dim, dim), dtype=complex)
+    blank[0, 0] = 1.0
+    return DensityMatrix(blank)
+
+
 def restricted_cloner_search(rho1: DensityMatrix, rho2: DensityMatrix,
                              cfg: OptimizerConfig | None = None) -> SearchResult:
     """Search restricted to two-register unitaries with a pure blank ancilla.
@@ -277,9 +226,7 @@ def restricted_cloner_search(rho1: DensityMatrix, rho2: DensityMatrix,
     d = rho1.dim
     if d > 4:
         raise OutOfRange(f"restricted search supports d <= 4, got {d}")
-    blank = np.zeros((d, d), dtype=complex)
-    blank[0, 0] = 1.0
-    ups = DensityMatrix(blank)
+    ups = _blank_ancilla(d)
     return minimize_relative_error(rho1, rho2, ups, ups, dims=(1, 2, 1), cfg=cfg)
 
 

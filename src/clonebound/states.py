@@ -127,11 +127,16 @@ def _check_same_dim(chi: DensityMatrix, omega: DensityMatrix) -> int:
 _EQUAL_TOL = 1e-12
 
 
+def _same_state(m1: np.ndarray, m2: np.ndarray) -> bool:
+    """Equal within 1e-12 relative Frobenius distance."""
+    return np.linalg.norm(m1 - m2) <= _EQUAL_TOL * max(1.0, np.linalg.norm(m1))
+
+
 def _fidelity_of(m1: np.ndarray, m2: np.ndarray) -> float:
     # Inputs equal within tolerance give exactly 1: the singular-value route
     # below can only resolve 1 - F down to ~1e-15, and sqrt(1 - F) in angle
     # computations would amplify that noise to ~3e-8.
-    if np.linalg.norm(m1 - m2) <= _EQUAL_TOL * max(1.0, np.linalg.norm(m1)):
+    if _same_state(m1, m2):
         return 1.0
     # (sum of singular values of sqrt(m1) sqrt(m2))^2, the stable evaluation
     # of the closed form (Tr sqrt(sqrt(m1) m2 sqrt(m1)))^2.

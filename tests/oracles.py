@@ -8,9 +8,21 @@ optimizer rather than in closed form, and the overlap path is walked with a
 Schur-form matrix power at every point instead of its scalar closed form.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.optimize
+
+
+def lower_bound_one_to_two(f: float, phi: float) -> float:
+    """The 1 -> 2 bound written out directly: f*phi - f^2*sqrt(1-f^2 phi^2)/sqrt(1-f^4).
+
+    An independent route to cloning.lower_bound(f, phi, 1, 2), for f < 1.
+    """
+    if phi <= f:
+        return 0.0
+    return f * phi - f ** 2 * math.sqrt(1.0 - f ** 2 * phi ** 2) / math.sqrt(1.0 - f ** 4)
 
 
 def fidelity_sqrtm(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,7 +15,6 @@ from clonebound import linalg
 from clonebound.cloning import (
     apply_cloning,
     lower_bound,
-    lower_bound_one_to_two,
     perfect_cloning_setup,
 )
 from clonebound.measure import dilated_probabilities, naimark_dilate, probabilities, random_povm
@@ -70,7 +69,7 @@ def test_criterion_2_bound_reproduction():
         worst_zero = max(worst_zero, abs(lower_bound(f, f, 1, 2)))
         for phi in (0.0, 0.25, f, min(1.0, f + 0.01), 0.75, 1.0):
             worst_routes = max(worst_routes, abs(
-                lower_bound(f, phi, 1, 2) - lower_bound_one_to_two(f, phi)))
+                lower_bound(f, phi, 1, 2) - oracles.lower_bound_one_to_two(f, phi)))
     ok = worst_closed <= 1e-12 and worst_zero <= 1e-12 and worst_routes <= 1e-15
     _line(ok, "criterion 2 - bound reproduction (closed form dev "
               f"{worst_closed:.1e} <= 1e-12, phi=f dev {worst_zero:.1e} <= 1e-12, "

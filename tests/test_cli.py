@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clonebound
 from clonebound.cli import build_parser, main
 from clonebound.cloning import lower_bound
+from clonebound.search import OptimizerConfig
 from clonebound.states import DensityMatrix, random_density
 
 import oracles
@@ -161,6 +165,30 @@ def test_main_calls_share_no_state(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_optimize_config_defaults_are_the_dataclass_defaults(tmp_path, capsys):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "restricted": True}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == OptimizerConfig().to_dict()
+
+
+@pytest.mark.parametrize("entries", [
+    [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0, 0.0]],  # a pair of length 3
+    [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],  # three pairs for a 2x2 matrix
+    [["0.5", 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],  # a string value
+], ids=["pair-length", "pair-count", "string-value"])
+def test_purify_malformed_entries_exit_2(tmp_path, capsys, entries):
+    r2 = random_density(2, 2, seed=32)
+    path = tmp_path / "states.json"
+    path.write_text(json.dumps({"rho1": {"dim": 2, "entries": entries},
+                                "rho2": r2.to_dict()}))
+    assert main(["purify", "--states", str(path), "--phi", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_optimize_csv_summary(tmp_path, capsys):
     _, r1, r2 = _states_file(tmp_path)
     cfg = tmp_path / "opt.json"
@@ -221,9 +249,13 @@ def test_sweep_bad_points_exits_2(capsys):
 
 
 def test_console_script_installed():
+    # the child imports the same clonebound as this process
+    src = str(Path(clonebound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "clonebound.cli", "bound",
                            "--f", "0.5", "--phi", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert abs(float(proc.stdout) - lower_bound(0.5, 1.0, 1, 2)) < 1e-15
     assert proc.stderr == ""

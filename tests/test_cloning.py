@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from clonebound import cloning
 from clonebound.cloning import (
     BoundInput,
     CloningSetup,
     absolute_error,
     apply_cloning,
     lower_bound,
-    lower_bound_one_to_two,
     perfect_cloning_setup,
     proof_chain_check,
     relative_error,
@@ -23,7 +23,9 @@ from clonebound.errors import (
     IndistinguishablePair,
     NotUnitary,
     OutOfRange,
+    SoundnessViolation,
 )
+from clonebound.search import OptimizerConfig, minimize_relative_error
 from clonebound.states import DensityMatrix, PureState, angle, fidelity
 
 import oracles
@@ -85,7 +87,7 @@ def test_lower_bound_two_routes_agree():
         f = k / 100.0
         for phi in (0.0, 0.2, f, min(1.0, f + 0.05), 0.9, 1.0):
             assert abs(lower_bound(f, phi, 1, 2)
-                       - lower_bound_one_to_two(f, phi)) <= 1e-15
+                       - oracles.lower_bound_one_to_two(f, phi)) <= 1e-15
 
 
 def test_lower_bound_monotone_in_phi():
@@ -269,3 +271,20 @@ def test_perfect_setup_rejects_unreachable_phi():
     from clonebound.errors import TargetOutOfRange
     with pytest.raises(TargetOutOfRange):
         perfect_cloning_setup(rho1, rho2, f + 0.05)
+
+
+def test_soundness_guard_fires_on_a_faulty_channel(monkeypatch):
+    # blank ancilla, phi = 1: the bound f - f^2/sqrt(1+f^2) is well above 0,
+    # so a channel that outputs the ideal clones breaks the theorem
+    rho1, rho2 = _pure(0.0), _pure(0.9)
+    ups = _blank(2)
+    setup = CloningSetup(rho1, rho2, ups, ups, np.eye(4, dtype=complex), 1, 2, 1)
+    assert lower_bound(math.sqrt(fidelity(rho1, rho2)), 1.0) > 0.2
+    assert apply_cloning(setup).relative_error > 0.1
+    monkeypatch.setattr(cloning._Channel, "_outputs",
+                        lambda self, v: [ideal.matrix for ideal in self.ideals])
+    with pytest.raises(SoundnessViolation):
+        apply_cloning(setup)
+    with pytest.raises(SoundnessViolation):
+        minimize_relative_error(rho1, rho2, ups, ups, dims=(1, 2, 1),
+                                cfg=OptimizerConfig(restarts=1, iterations=1))

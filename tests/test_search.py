@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from clonebound.cloning import CloningSetup, apply_cloning
 from clonebound.errors import BudgetZero, OutOfRange
 from clonebound.search import (
     OptimizerConfig,
@@ -85,6 +86,28 @@ def test_traces_nonincreasing_and_soundness():
     assert res.best_r >= res.bound - 1e-8
     assert res.gap == res.best_r - res.bound
     assert min(t[-1] for t in res.restart_traces) == res.best_r
+
+
+def test_search_value_is_apply_cloning_value():
+    # the search and apply_cloning share one evaluator, so they agree exactly
+    rho1, rho2 = _random_pair(127)
+    cfg = OptimizerConfig(restarts=2, iterations=80, seed=3)
+    blank8 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    runs = [(restricted_cloner_search(rho1, rho2, cfg), _pure(0.0), 1),
+            (minimize_relative_error(rho1, rho2, blank8, blank8, dims=(1, 2, 4),
+                                     cfg=cfg), blank8, 4)]
+    for res, ups, env in runs:
+        setup = CloningSetup(rho1, rho2, ups, ups, res.best_v, 1, 2, env)
+        assert apply_cloning(setup).relative_error == res.best_r
+
+
+def test_search_reads_zero_on_an_exact_copy():
+    rho1, rho2 = _random_pair(101)
+    y1, y2 = purifications_with_overlap(rho1, rho2, 0.3)
+    cfg = OptimizerConfig(restarts=1, iterations=1, seed=0)
+    res = minimize_relative_error(rho1, rho2, y1.density(), y2.density(),
+                                  dims=(1, 2, None), cfg=cfg)
+    assert res.restart_traces[0][0] == 0.0  # the identity start outputs the ideal
 
 
 def test_env_dim_inferred_from_ancilla():
