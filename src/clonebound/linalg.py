@@ -46,8 +46,20 @@ def as_matrix(m, *, square: bool = True) -> np.ndarray:
     return a
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a (..., n, m) stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., n, m) stack."""
+    return np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1)))
+
+
 def require_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> None:
-    dev = np.linalg.norm(m - m.conj().T)
+    """Raise NotHermitian unless every matrix of a (..., d, d) stack is
+    Hermitian within ``tol`` in Frobenius norm."""
+    dev = _frobenius(m - _dagger(m)).max()
     if dev > tol:
         raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {tol:.1e}")
 
@@ -78,22 +90,35 @@ def sqrt_psd(m, *, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> np.n
     a rank-deficient input carries eigensolver noise ~1e-16 in its null
     space, and sqrt would amplify that to ~1e-8 in the result.
     """
-    w, u = hermitian_eig(m, tol_herm=tol_herm)
+    a = as_matrix(m)
+    require_hermitian(a, tol_herm)
+    root, w = _psd_root(a)
     if w[0] < -tol_psd:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol_psd:.1e}")
+    return root
+
+
+def _psd_root(m: np.ndarray):
+    """(PSD root, ascending eigenvalues) of each matrix of a (..., d, d) stack.
+
+    Unvalidated: the kernel behind sqrt_psd and the stack fidelity. The root
+    is symmetrized, so it is exactly Hermitian.
+    """
+    w, u = np.linalg.eigh(m)
     r = _sqrt_from_eig(w, u)
-    return (r + r.conj().T) / 2.0
+    return (r + _dagger(r)) / 2.0, w
 
 
 def _sqrt_from_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u diag(sqrt(w)) u^dagger, unvalidated: the kernel behind every PSD root.
+    """u diag(sqrt(w)) u^dagger over a (..., d) / (..., d, d) stack, unvalidated.
 
-    Negative eigenvalues clip to 0, and those below 1e-14 of the largest are
-    zeroed as null-space noise (see sqrt_psd).
+    The one null-space cutoff behind every PSD root: negative eigenvalues
+    clip to 0, and those below 1e-14 of their own matrix's largest are
+    zeroed as noise (see sqrt_psd).
     """
     w = np.clip(w, 0.0, None)
-    w[w < 1e-14 * max(w[-1], 0.0)] = 0.0
-    return (u * np.sqrt(w)) @ u.conj().T
+    w[w < 1e-14 * w[..., -1:]] = 0.0
+    return (u * np.sqrt(w)[..., None, :]) @ _dagger(u)
 
 
 def kron(a, b) -> np.ndarray:

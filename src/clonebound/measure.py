@@ -25,6 +25,36 @@ from .serialize import entries_to_matrix, matrix_to_entries
 from .states import DensityMatrix, PureState, _ginibre
 
 
+def _require_povm(elems: np.ndarray, tol_herm: float = linalg.TOL_HERM,
+                  tol_psd: float = linalg.TOL_PSD) -> None:
+    """The POVM invariants on a (..., m, d, d) stack of element lists: each
+    element Hermitian within tol_herm with lowest eigenvalue >= -tol_psd, and
+    the elements of each list summing to the identity within 1e-9."""
+    dev = linalg._frobenius(elems - linalg._dagger(elems))
+    bad = dev > tol_herm
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InvalidPOVM(f"element {k % bad.shape[-1]} not Hermitian (dev {dev.flat[k]:.3e})")
+    low = np.linalg.eigvalsh(elems)[..., 0]
+    bad = low < -tol_psd
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InvalidPOVM(f"element {k % bad.shape[-1]} eigenvalue {low.flat[k]:.3e} "
+                          f"below -{tol_psd:.1e}")
+    res = float(np.max(linalg._frobenius(elems.sum(axis=-3) - np.eye(elems.shape[-1]))))
+    if res > 1e-9:
+        raise InvalidPOVM(f"elements sum to identity only within {res:.3e}")
+
+
+def _require_projector(p: np.ndarray, tol: float = 1e-9) -> None:
+    """Each matrix of a (..., d, d) stack Hermitian and idempotent within tol."""
+    bad = ((linalg._frobenius(p - linalg._dagger(p)) > tol)
+           | (linalg._frobenius(p @ p - p) > tol))
+    if np.any(bad):
+        raise NotProjector(f"matrix {int(np.argmax(bad))} is not an orthogonal "
+                           f"projector within {tol:.0e}")
+
+
 class POVM:
     """A list of PSD elements on C^d summing to the identity."""
 
@@ -36,20 +66,10 @@ class POVM:
         if not elems:
             raise InvalidPOVM("POVM needs at least one element")
         d = elems[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for i, e in enumerate(elems):
             if e.shape[0] != d:
                 raise InvalidPOVM(f"element {i} dim {e.shape[0]} != {d}")
-            dev = np.linalg.norm(e - e.conj().T)
-            if dev > tol_herm:
-                raise InvalidPOVM(f"element {i} not Hermitian (dev {dev:.3e})")
-            w = np.linalg.eigvalsh(e)
-            if w[0] < -tol_psd:
-                raise InvalidPOVM(f"element {i} eigenvalue {w[0]:.3e} below -{tol_psd:.1e}")
-            total += e
-        res = np.linalg.norm(total - np.eye(d))
-        if res > 1e-9:
-            raise InvalidPOVM(f"elements sum to identity only within {res:.3e}")
+        _require_povm(np.stack(elems), tol_herm, tol_psd)
         self.elements = elems
 
     @property
@@ -82,20 +102,15 @@ class ProjectiveMeasurement:
         if not projs:
             raise NotProjector("measurement needs at least one projector")
         d = projs[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
         for i, p in enumerate(projs):
             if p.shape[0] != d:
                 raise NotProjector(f"projector {i} dim {p.shape[0]} != {d}")
-            if np.linalg.norm(p - p.conj().T) > tol:
-                raise NotProjector(f"projector {i} not Hermitian")
-            if np.linalg.norm(p @ p - p) > tol:
-                raise NotProjector(f"projector {i} not idempotent")
-            total += p
+        _require_projector(np.stack(projs), tol)
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
                 if np.linalg.norm(projs[i] @ projs[j]) > tol:
                     raise NotProjector(f"projectors {i},{j} not orthogonal")
-        if np.linalg.norm(total - np.eye(d)) > tol:
+        if np.linalg.norm(sum(projs) - np.eye(d)) > tol:
             raise NotProjector("projectors do not sum to identity")
         self.projectors = projs
 
@@ -131,20 +146,31 @@ def probabilities(measurement, rho: DensityMatrix) -> list[float]:
     imaginary residue above 1e-12, or a total off 1 by more than 1e-9 raises
     instead of being silently repaired.
     """
-    elems = measurement.elements
     if measurement.dim != rho.dim:
         raise DimMismatch(f"measurement dim {measurement.dim} != state dim {rho.dim}")
-    probs = []
-    for i, e in enumerate(elems):
-        p = complex(np.trace(e @ rho.matrix))
-        if abs(p.imag) > 1e-12:
-            raise InvalidPOVM(f"outcome {i} probability has imag part {p.imag:.3e}")
-        if p.real < -1e-12:
-            raise InvalidPOVM(f"outcome {i} probability {p.real:.3e} below -1e-12")
-        probs.append(max(p.real, 0.0))
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidPOVM(f"probabilities sum to {total}, off by more than 1e-9")
+    return _probabilities(np.stack(measurement.elements), rho.matrix).tolist()
+
+
+def _probabilities(elems: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """probabilities() over a (..., m, d, d) element stack and a (..., d, d)
+    state stack, with the same checks; returns the (..., m) probabilities."""
+    p = np.trace(elems @ rho[..., None, :, :], axis1=-2, axis2=-1)
+    bad = np.abs(p.imag) > 1e-12
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InvalidPOVM(f"outcome {k % bad.shape[-1]} probability has imag part "
+                          f"{p.imag.flat[k]:.3e}")
+    bad = p.real < -1e-12
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InvalidPOVM(f"outcome {k % bad.shape[-1]} probability {p.real.flat[k]:.3e} "
+                          "below -1e-12")
+    probs = np.maximum(p.real, 0.0)
+    total = probs.sum(axis=-1)
+    off = np.abs(total - 1.0)
+    if np.max(off) > 1e-9:
+        raise InvalidPOVM(f"probabilities sum to {total.flat[np.argmax(off)]}, "
+                          "off by more than 1e-9")
     return probs
 
 
@@ -214,28 +240,27 @@ def dilated_probabilities(dilation: DilationResult, rho: DensityMatrix) -> list[
 def projector_gap(x: PureState, y: PureState, pi) -> float:
     """|<x|Pi|x> - <y|Pi|y>| for an orthogonal projector Pi."""
     p = linalg.as_matrix(pi)
-    if np.linalg.norm(p - p.conj().T) > 1e-9 or np.linalg.norm(p @ p - p) > 1e-9:
-        raise NotProjector("pi is not an orthogonal projector within 1e-9")
+    _require_projector(p)
     if x.dim != y.dim or x.dim != p.shape[0]:
         raise DimMismatch("state and projector dimensions differ")
-    px = float(np.vdot(x.amp, p @ x.amp).real)
-    py = float(np.vdot(y.amp, p @ y.amp).real)
-    return abs(px - py)
+    return float(_projector_gap_stack(x.amp, y.amp, p))
 
 
-def _random_povm_matrices(rng: np.random.Generator, d: int, outcomes: int) -> list[np.ndarray]:
-    parts = []
-    for _ in range(outcomes):
-        g = _ginibre(rng, d, d)
-        parts.append(g @ g.conj().T)
-    total = sum(parts)
-    tw, tu = np.linalg.eigh(total)
-    inv_sqrt = (tu / np.sqrt(tw)) @ tu.conj().T
-    elems = []
-    for a in parts:
-        e = inv_sqrt @ a @ inv_sqrt
-        elems.append((e + e.conj().T) / 2.0)
-    return elems
+def _projector_gap_stack(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """projector_gap over (..., d) vector stacks and a (..., d, d) projector
+    stack, unvalidated."""
+    def expect(v):
+        return np.einsum("...i,...ij,...j->...", v.conj(), p, v).real
+    return np.abs(expect(x) - expect(y))
+
+
+def _normalized_povm(parts: np.ndarray) -> np.ndarray:
+    """PSD parts A_a, as a (..., m, d, d) stack, turned into POVM elements
+    S A_a S with S the inverse square root of sum_a A_a."""
+    tw, tu = np.linalg.eigh(parts.sum(axis=-3))
+    inv_sqrt = ((tu / np.sqrt(tw)[..., None, :]) @ linalg._dagger(tu))[..., None, :, :]
+    e = inv_sqrt @ parts @ inv_sqrt
+    return (e + linalg._dagger(e)) / 2.0
 
 
 def random_povm(d: int, outcomes: int, seed: int) -> POVM:
@@ -247,4 +272,8 @@ def random_povm(d: int, outcomes: int, seed: int) -> POVM:
     if outcomes < 1:
         raise OutOfRange(f"outcomes {outcomes} must be >= 1")
     rng = np.random.default_rng(seed)
-    return POVM(_random_povm_matrices(rng, d, outcomes))
+    parts = []
+    for _ in range(outcomes):
+        g = _ginibre(rng, (d, d))
+        parts.append(g @ g.conj().T)
+    return POVM(list(_normalized_povm(np.stack(parts))))

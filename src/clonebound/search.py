@@ -11,23 +11,33 @@ reporting, because the bound is a theorem.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .cloning import SOUNDNESS_TOL, CloningSetup, _Channel, lower_bound
 from .errors import BudgetZero, OutOfRange, SoundnessViolation
-from .measure import POVM, _random_povm_matrices, probabilities, projector_gap
-from .serialize import matrix_to_entries, vector_to_entries
+from .linalg import _dagger
+from .measure import (
+    POVM,
+    _normalized_povm,
+    _probabilities,
+    _projector_gap_stack,
+    _require_povm,
+    _require_projector,
+)
+from .serialize import matrix_to_entries
 from .states import (
     DensityMatrix,
     PureState,
+    _angle_pure_stack,
+    _angle_stack,
+    _density_from_factor,
+    _fidelity_stack,
     _ginibre,
-    _random_density_matrix,
-    angle,
-    angle_pure,
-    fidelity,
+    _require_density,
+    _require_unit,
+    fidelity,  # noqa: F401  (search.fidelity stays importable)
 )
 
 SLACK = 1e-9
@@ -237,7 +247,7 @@ class InequalityCheck:
     name: str
     trials: int
     violations: int
-    max_margin: float  # largest lhs - rhs seen; a violation exceeds the slack
+    max_margin: float  # largest lhs - rhs seen (NaN if any); a violation is not <= slack
     worst_case: dict
 
     def to_dict(self) -> dict:
@@ -266,7 +276,7 @@ class VerificationReport:
 
     @property
     def max_slack_violation(self) -> float:
-        return max(c.max_margin for c in self.checks)
+        return float(np.max([c.max_margin for c in self.checks]))  # NaN propagates
 
     def to_dict(self) -> dict:
         return {
@@ -302,15 +312,87 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, d, d))
-    rd = np.diagonal(r)
-    return q * (rd / np.abs(rd))
+CHUNK = 1024  # trials drawn and checked per vectorised pass; bounds memory
 
 
-def _random_pure(rng: np.random.Generator, d: int) -> PureState:
-    v = _ginibre(rng, d, 1).reshape(-1)
-    return PureState(v / np.linalg.norm(v))
+def _densities(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """n validated random density matrices, each of a rank uniform in 1..d:
+    the columns of a full Ginibre factor beyond the rank are masked out."""
+    ranks = rng.integers(1, d + 1, size=n)
+    g = _ginibre(rng, (n, d, d)) * (np.arange(d) < ranks[:, None])[:, None, :]
+    m = _density_from_factor(g)
+    _require_density(m)
+    return m
+
+
+def _unit_vectors(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    v = _ginibre(rng, (n, d))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    _require_unit(v)
+    return v
+
+
+def _density_docs(i: int, **stacks) -> dict:
+    """Trial i of each density stack, validated and serialized."""
+    return {name: DensityMatrix(m[i]).to_dict() for name, m in stacks.items()}
+
+
+def _triangle(rng, d, n):
+    chi, omega, rho = (_densities(rng, d, n) for _ in range(3))
+    margins = (_angle_stack(chi, omega)
+               - (_angle_stack(chi, rho) + _angle_stack(omega, rho)))
+    return margins, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
+
+
+def _fidelity_difference(rng, d, n):
+    chi, omega, rho = (_densities(rng, d, n) for _ in range(3))
+    margins = (np.abs(_fidelity_stack(chi, rho) - _fidelity_stack(omega, rho))
+               - np.sin(_angle_stack(chi, omega)))
+    return margins, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
+
+
+_MAX_OUTCOMES = 5
+
+
+def _probability_deviation(rng, d, n):
+    # 2-5 outcomes per trial, padded to 5 with zero elements: a zero element
+    # has p = q = 0 and leaves the largest deviation unchanged
+    outcomes = rng.integers(2, _MAX_OUTCOMES + 1, size=n)
+    g = _ginibre(rng, (n, _MAX_OUTCOMES, d, d))
+    g *= (np.arange(_MAX_OUTCOMES) < outcomes[:, None])[..., None, None]
+    elems = _normalized_povm(g @ _dagger(g))
+    _require_povm(elems)
+    chi, omega = _densities(rng, d, n), _densities(rng, d, n)
+    deviation = np.max(np.abs(_probabilities(elems, chi) - _probabilities(elems, omega)),
+                       axis=-1)
+    margins = deviation - np.sin(_angle_stack(chi, omega))
+    return margins, lambda i: {"povm": POVM(elems[i, :outcomes[i]]).to_dict(),
+                               **_density_docs(i, chi=chi, omega=omega)}
+
+
+def _projector_gap(rng, d, n):
+    x, y = _unit_vectors(rng, d, n), _unit_vectors(rng, d, n)
+    q, r = np.linalg.qr(_ginibre(rng, (n, d, d)))
+    rd = np.diagonal(r, axis1=-2, axis2=-1)
+    basis = q * (rd / np.abs(rd))[:, None, :]  # Haar unitaries
+    ranks = rng.integers(1, d + 1, size=n)
+    proj = (basis * (np.arange(d) < ranks[:, None])[:, None, :]) @ _dagger(basis)
+    _require_projector(proj)
+    margins = _projector_gap_stack(x, y, proj) - np.sin(_angle_pure_stack(x, y))
+    return margins, lambda i: {"x": PureState(x[i]).to_dict(),
+                               "y": PureState(y[i]).to_dict(),
+                               "projector": {"dim": d,
+                                             "entries": matrix_to_entries(proj[i])}}
+
+
+# family(rng, d, n) draws n trials and returns their margins and describe(i),
+# which validates trial i's inputs as objects and serializes them
+_FAMILIES = (
+    ("angle_triangle", _triangle),
+    ("fidelity_difference", _fidelity_difference),
+    ("probability_deviation", _probability_deviation),
+    ("projector_gap", _projector_gap),
+)
 
 
 def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
@@ -319,9 +401,11 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     Families: the angle triangle inequality on state triples; the fidelity
     difference bound |F(chi,rho) - F(omega,rho)| <= sin(angle); the
     probability deviation bound over random 2-5 outcome POVMs; and the
-    projector gap bound for pure states. Margins are lhs - rhs, so any value
-    above the slack counts as a violation; the worst inputs are serialized
-    into the report.
+    projector gap bound for pure states. Each family draws and checks its
+    trials as (batch, d, d) stacks, CHUNK at a time. Margins are lhs - rhs;
+    any margin not at or below the slack, NaN included, counts as a
+    violation. Only the worst trial (the first maximum, or the first NaN) is
+    validated as objects and serialized into the report.
     """
     d = int(d)
     trials = int(trials)
@@ -334,66 +418,19 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
         raise OutOfRange(f"seed {seed} must be >= 0")
     rng = np.random.default_rng([seed, d])
     report = VerificationReport(d=d, trials=trials, seed=seed, slack=SLACK)
-
-    def rand_state() -> DensityMatrix:
-        rank = int(rng.integers(1, d + 1))
-        return DensityMatrix(_random_density_matrix(rng, d, rank))
-
-    def triangle_trial():
-        chi, omega, rho = rand_state(), rand_state(), rand_state()
-        margin = angle(chi, omega) - (angle(chi, rho) + angle(omega, rho))
-        return margin, {"chi": chi.to_dict(), "omega": omega.to_dict(),
-                        "rho": rho.to_dict()}
-
-    def fidelity_gap_trial():
-        chi, omega, rho = rand_state(), rand_state(), rand_state()
-        margin = (abs(fidelity(chi, rho) - fidelity(omega, rho))
-                  - math.sin(angle(chi, omega)))
-        return margin, {"chi": chi.to_dict(), "omega": omega.to_dict(),
-                        "rho": rho.to_dict()}
-
-    def probability_gap_trial():
-        outcomes = int(rng.integers(2, 6))
-        povm = POVM(_random_povm_matrices(rng, d, outcomes))
-        chi, omega = rand_state(), rand_state()
-        p = probabilities(povm, chi)
-        q = probabilities(povm, omega)
-        margin = (max(abs(a - b) for a, b in zip(p, q))
-                  - math.sin(angle(chi, omega)))
-        return margin, {"povm": povm.to_dict(), "chi": chi.to_dict(),
-                        "omega": omega.to_dict()}
-
-    def projector_gap_trial():
-        x, y = _random_pure(rng, d), _random_pure(rng, d)
-        basis = _haar_unitary(rng, d)
-        rank = int(rng.integers(1, d + 1))
-        proj = basis[:, :rank] @ basis[:, :rank].conj().T
-        margin = projector_gap(x, y, proj) - math.sin(angle_pure(x, y))
-        return margin, {
-            "x": {"dim": d, "amp": vector_to_entries(x.amp)},
-            "y": {"dim": d, "amp": vector_to_entries(y.amp)},
-            "projector": {"dim": d, "entries": matrix_to_entries(proj)},
-        }
-
-    families = [
-        ("angle_triangle", triangle_trial),
-        ("fidelity_difference", fidelity_gap_trial),
-        ("probability_deviation", probability_gap_trial),
-        ("projector_gap", projector_gap_trial),
-    ]
-    for name, trial in families:
+    for name, family in _FAMILIES:
         violations = 0
-        max_margin = -math.inf
-        worst: dict = {}
-        for _ in range(trials):
-            margin, inputs = trial()
-            if margin > max_margin:
-                max_margin = margin
-                worst = inputs
-            if margin > SLACK:
-                violations += 1
+        worst = None  # (margin, describe of its chunk, index in the chunk)
+        for start in range(0, trials, CHUNK):
+            margins, describe = family(rng, d, min(CHUNK, trials - start))
+            violations += int(np.count_nonzero(~(margins <= SLACK)))
+            i = int(np.argmax(margins))
+            # np.argmax's rule across chunks: a later chunk wins only with a
+            # larger margin, or with a NaN over a number
+            if worst is None or np.argmax([worst[0], margins[i]]) == 1:
+                worst = (margins[i], describe, i)
         report.checks.append(InequalityCheck(name, trials, violations,
-                                             max_margin, worst))
+                                             float(worst[0]), worst[1](worst[2])))
     return report
 
 

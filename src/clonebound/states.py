@@ -39,6 +39,29 @@ TOL_ROOT = 1e-10
 _BRACKET_SAMPLES = 64
 
 
+def _require_density(m: np.ndarray, tol_herm: float = linalg.TOL_HERM,
+                     tol_psd: float = linalg.TOL_PSD) -> None:
+    """The density-matrix invariants on each matrix of a (..., d, d) stack:
+    Hermitian within tol_herm, lowest eigenvalue >= -tol_psd, trace 1 within
+    1e-10."""
+    linalg.require_hermitian(m, tol_herm)
+    low = np.linalg.eigvalsh(m)[..., 0].min()
+    if low < -tol_psd:
+        raise NotPSD(f"density eigenvalue {low:.3e} below -{tol_psd:.1e}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if off.max() > 1e-10:
+        raise NotDensity(f"trace {complex(tr.flat[off.argmax()])} not 1 within 1e-10")
+
+
+def _require_unit(amp: np.ndarray) -> None:
+    """Unit norm within 1e-10 for each vector of a (..., d) stack."""
+    n = np.linalg.norm(amp, axis=-1)
+    off = np.abs(n - 1.0)
+    if off.max() > 1e-10:
+        raise NotDensity(f"norm {float(n.flat[off.argmax()])} not 1 within 1e-10")
+
+
 class DensityMatrix:
     """A validated density matrix: Hermitian, PSD, unit trace."""
 
@@ -47,13 +70,7 @@ class DensityMatrix:
     def __init__(self, matrix, *, tol_herm: float = linalg.TOL_HERM,
                  tol_psd: float = linalg.TOL_PSD):
         a = linalg.as_matrix(matrix)
-        linalg.require_hermitian(a, tol_herm)
-        w = np.linalg.eigvalsh(a)
-        if w[0] < -tol_psd:
-            raise NotPSD(f"density eigenvalue {w[0]:.3e} below -{tol_psd:.1e}")
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > 1e-10:
-            raise NotDensity(f"trace {tr} not 1 within 1e-10")
+        _require_density(a, tol_herm, tol_psd)
         self.matrix = a
 
     @property
@@ -82,9 +99,7 @@ class PureState:
             raise DimMismatch(f"state vector length {a.size} invalid")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise NotDensity("state vector contains NaN or Inf")
-        n = np.linalg.norm(a)
-        if abs(n - 1.0) > 1e-10:
-            raise NotDensity(f"norm {n} not 1 within 1e-10")
+        _require_unit(a)
         self.amp = a
 
     @property
@@ -127,23 +142,40 @@ def _check_same_dim(chi: DensityMatrix, omega: DensityMatrix) -> int:
 _EQUAL_TOL = 1e-12
 
 
-def _same_state(m1: np.ndarray, m2: np.ndarray) -> bool:
-    """Equal within 1e-12 relative Frobenius distance."""
-    return np.linalg.norm(m1 - m2) <= _EQUAL_TOL * max(1.0, np.linalg.norm(m1))
+def _same_state(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Equal within 1e-12 relative Frobenius distance, per pair of two
+    (..., d, d) stacks."""
+    return (linalg._frobenius(m1 - m2)
+            <= _EQUAL_TOL * np.maximum(1.0, linalg._frobenius(m1)))
 
 
-def _fidelity_of(m1: np.ndarray, m2: np.ndarray) -> float:
-    # Inputs equal within tolerance give exactly 1: the singular-value route
-    # below can only resolve 1 - F down to ~1e-15, and sqrt(1 - F) in angle
-    # computations would amplify that noise to ~3e-8.
-    if _same_state(m1, m2):
-        return 1.0
-    # (sum of singular values of sqrt(m1) sqrt(m2))^2, the stable evaluation
-    # of the closed form (Tr sqrt(sqrt(m1) m2 sqrt(m1)))^2.
-    prod = linalg.sqrt_psd(m1) @ linalg.sqrt_psd(m2)
+def _fidelity_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Fidelity of each pair of two (..., d, d) density stacks, unvalidated.
+
+    (sum of singular values of sqrt(m1) sqrt(m2))^2, the stable evaluation
+    of the closed form (Tr sqrt(sqrt(m1) m2 sqrt(m1)))^2, clamped to [0, 1].
+    Pairs equal within tolerance give exactly 1: the singular-value route can
+    only resolve 1 - F down to ~1e-15, and sqrt(1 - F) in angle computations
+    would amplify that noise to ~3e-8.
+    """
+    same = _same_state(m1, m2)
+    if same.all():  # every pair an exact copy: skip the roots
+        return np.ones(same.shape)
+    prod = linalg._psd_root(m1)[0] @ linalg._psd_root(m2)[0]
     s = np.linalg.svd(prod, compute_uv=False)
-    f = float(np.sum(s)) ** 2
-    return min(max(f, 0.0), 1.0)
+    f = np.clip(np.sum(s, axis=-1) ** 2, 0.0, 1.0)
+    return np.where(same, 1.0, f)
+
+
+def _angle_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Angle arccos(sqrt(F)) of each pair of two (..., d, d) density stacks."""
+    return np.arccos(np.sqrt(_fidelity_stack(m1, m2)))
+
+
+def _angle_pure_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Angle arccos(|<x|y>|) of each pair of two (..., d) unit-vector stacks."""
+    ov = np.abs(np.einsum("...i,...i->...", x.conj(), y))
+    return np.arccos(np.minimum(ov, 1.0))
 
 
 def fidelity(chi: DensityMatrix, omega: DensityMatrix) -> float:
@@ -153,20 +185,20 @@ def fidelity(chi: DensityMatrix, omega: DensityMatrix) -> float:
     1.0, so the derived angle is exactly zero.
     """
     _check_same_dim(chi, omega)
-    return _fidelity_of(chi.matrix, omega.matrix)
+    return float(_fidelity_stack(chi.matrix, omega.matrix))
 
 
 def angle(chi: DensityMatrix, omega: DensityMatrix) -> float:
     """Angle arccos(sqrt(F)) in [0, pi/2]."""
-    return float(np.arccos(np.sqrt(fidelity(chi, omega))))
+    _check_same_dim(chi, omega)
+    return float(_angle_stack(chi.matrix, omega.matrix))
 
 
 def angle_pure(x: PureState, y: PureState) -> float:
     """Angle arccos(|<x|y>|) between unit vectors."""
     if x.dim != y.dim:
         raise DimMismatch(f"dims differ: {x.dim} vs {y.dim}")
-    ov = min(abs(np.vdot(x.amp, y.amp)), 1.0)
-    return float(np.arccos(ov))
+    return float(_angle_pure_stack(x.amp, y.amp))
 
 
 def purify(rho: DensityMatrix, env_dim: int) -> PureState:
@@ -349,16 +381,15 @@ def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
             PureState(y2 / np.linalg.norm(y2)))
 
 
-def _ginibre(rng: np.random.Generator, d: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((d, cols))
-            + 1j * rng.standard_normal((d, cols))) / np.sqrt(2.0)
+def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _random_density_matrix(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
-    g = _ginibre(rng, d, rank)
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    return (m + m.conj().T) / 2.0
+def _density_from_factor(g: np.ndarray) -> np.ndarray:
+    """G G^dagger normalized to unit trace, per matrix of a (..., d, k) stack."""
+    m = g @ linalg._dagger(g)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    return (m + linalg._dagger(m)) / 2.0
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
@@ -374,4 +405,4 @@ def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     if not 1 <= rank <= d:
         raise BadRank(f"rank {rank} outside [1, {d}]")
     rng = np.random.default_rng(seed)
-    return DensityMatrix(_random_density_matrix(rng, d, rank))
+    return DensityMatrix(_density_from_factor(_ginibre(rng, (d, rank))))

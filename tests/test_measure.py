@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from clonebound import measure
 from clonebound.errors import (
     DimMismatch,
     InvalidPOVM,
@@ -202,3 +203,34 @@ def test_random_povm_deterministic():
     b = random_povm(3, 4, seed=42)
     for x, y in zip(a.elements, b.elements):
         assert np.array_equal(x, y)
+
+
+def test_stack_measurement_checks_name_the_same_errors():
+    trine = np.stack(_trine().elements)
+    lists = np.stack([trine, trine])
+    measure._require_povm(lists)
+    for k, e in ((0, np.array([[0.5, 0.1], [0.0, 0.0]])),  # not Hermitian
+                 (2, np.diag([-0.5, 0.0]))):  # negative, and sum off identity
+        bad = lists.copy()
+        bad[1, k] = e
+        with pytest.raises(InvalidPOVM):
+            measure._require_povm(bad)
+    halves = lists.copy()
+    halves[1] *= 0.5
+    with pytest.raises(InvalidPOVM):
+        measure._require_povm(halves)
+
+    rhos = np.stack([np.eye(2, dtype=complex) / 2, np.diag([1.0, 0.0]).astype(complex)])
+    p = measure._probabilities(lists, rhos)
+    assert np.array_equal(p[1], probabilities(_trine(), _zero_state()))
+    for bad_rho in (np.array([[0.5, 1e-9j], [1e-9j, 0.5]]),  # imaginary probabilities
+                    np.diag([-0.2, 1.2]),  # a probability below -1e-12
+                    np.diag([0.6, 0.6])):  # total off 1
+        with pytest.raises(InvalidPOVM):
+            measure._probabilities(lists, np.stack([rhos[0], bad_rho]))
+
+    projs = np.stack([np.diag([1.0, 0.0]), np.eye(2)]).astype(complex)
+    measure._require_projector(projs)
+    projs[1] = np.diag([0.5, 0.5])
+    with pytest.raises(NotProjector):
+        measure._require_projector(projs)

@@ -24,6 +24,9 @@ from clonebound.states import (
 )
 
 import oracles
+from clonebound import measure, search, serialize, states
+from clonebound.cli import main
+from clonebound.states import _fidelity_stack
 
 
 def _pure(theta: float) -> DensityMatrix:
@@ -197,6 +200,74 @@ def test_verify_inequalities_deterministic():
     a = verify_inequalities(2, 40, seed=9)
     b = verify_inequalities(2, 40, seed=9)
     assert a.to_json() == b.to_json()
+
+
+def test_verify_counts_a_nan_margin_as_a_violation(monkeypatch, capsys):
+    # NaN > SLACK is False, so a comparison the other way round would let
+    # broken arithmetic read as "0 violations"
+    def nan_at_trial_3(m1, m2):
+        f = _fidelity_stack(m1, m2)
+        f[3] = np.nan
+        return f
+
+    monkeypatch.setattr(search, "_fidelity_stack", nan_at_trial_3)
+    report = verify_inequalities(2, 20, seed=1)
+    check = next(c for c in report.checks if c.name == "fidelity_difference")
+    assert check.violations >= 1
+    assert math.isnan(check.max_margin)
+    assert math.isnan(report.max_slack_violation)
+    assert report.violations >= 1
+    assert main(["verify", "--dim", "2", "--trials", "20"]) == 1
+    assert "NaN" in capsys.readouterr().out
+
+
+def test_verify_serializes_only_the_worst_trials(monkeypatch):
+    calls = []
+
+    def counting(fn):
+        def wrapped(a):
+            calls.append(fn.__name__)
+            return fn(a)
+        return wrapped
+
+    for name in ("matrix_to_entries", "vector_to_entries"):
+        wrapped = counting(getattr(serialize, name))
+        for mod in (serialize, states, measure, search):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    report = verify_inequalities(2, 200, seed=1)
+    povm = report.checks[2].worst_case["povm"]
+    # 3 + 3 states, the worst POVM's elements and 2 states, 2 vectors + 1 projector
+    assert len(calls) == 11 + len(povm["elements"]) <= 16
+
+
+def test_verify_chunk_boundary_is_counted_and_deterministic():
+    a = verify_inequalities(3, search.CHUNK + 1, seed=4)
+    assert [c.trials for c in a.checks] == [search.CHUNK + 1] * 4
+    assert a.violations == 0
+    assert a.to_json() == verify_inequalities(3, search.CHUNK + 1, seed=4).to_json()
+
+
+@pytest.mark.parametrize("margins", [
+    [0.1, 0.5, 0.2, 0.5, 0.3, 0.1, 0.4, 0.5, 0.0, -1.0],  # first maximum wins a tie
+    [0.1, 0.5, 0.2, 0.3, np.nan, 0.1, np.nan, 0.9, 0.0, 2e-9],  # first NaN wins
+])
+def test_verify_worst_case_across_chunks_is_the_global_argmax(monkeypatch, margins):
+    margins = np.array(margins)
+    pos = [0]
+
+    def family(rng, d, n):
+        start = pos[0]
+        pos[0] += n
+        return margins[start:start + n], lambda i: {"trial": start + i}
+
+    monkeypatch.setattr(search, "CHUNK", 3)
+    monkeypatch.setattr(search, "_FAMILIES", (("fake", family),))
+    check = verify_inequalities(2, len(margins), seed=0).checks[0]
+    worst = int(np.argmax(margins))
+    assert check.worst_case == {"trial": worst}
+    assert check.max_margin == margins[worst] or math.isnan(check.max_margin)
+    assert check.violations == np.count_nonzero(~(margins <= search.SLACK))
 
 
 def test_sweep_bound_rows():

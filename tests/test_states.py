@@ -291,3 +291,63 @@ def test_random_density_properties():
         random_density(2, 3, seed=0)
     with pytest.raises(BadRank):
         random_density(2, 0, seed=0)
+
+
+def _check_stack_kernels(seed: int, d: int, n: int) -> None:
+    """Stack root and stack fidelity against per-call sqrt_psd and fidelity.
+
+    Pairs mix random ranks (rank-deficient included) with identical pairs.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return oracles.random_density(rng, d, int(rng.integers(1, d + 1)))
+
+    a = np.stack([draw() for _ in range(n)])
+    b = np.stack([a[k].copy() if k % 3 == 0 else draw() for k in range(n)])
+    roots = linalg._psd_root(a)[0]
+    fids = states._fidelity_stack(a, b)
+    for k in range(n):
+        one_root = linalg._psd_root(a[k:k + 1])[0][0]
+        one_fid = states._fidelity_stack(a[k:k + 1], b[k:k + 1])[0]
+        assert np.array_equal(one_root, linalg.sqrt_psd(a[k]))
+        assert one_fid == fidelity(DensityMatrix(a[k]), DensityMatrix(b[k]))
+        assert np.max(np.abs(roots[k] - one_root)) <= 1e-14
+        assert abs(fids[k] - one_fid) <= 1e-14
+        if k % 3 == 0:
+            assert fids[k] == 1.0
+    assert np.array_equal(states._angle_stack(a, b), np.arccos(np.sqrt(fids)))
+
+
+def test_stack_kernels_agree_with_per_call_fixed_seeds():
+    for seed in range(40):
+        _check_stack_kernels(seed, 2 + seed % 5, 1 + seed % 9)
+
+
+def test_stack_kernels_agree_with_per_call_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(1, 12))
+    def check(seed, d, n):
+        _check_stack_kernels(seed, d, n)
+
+    check()
+
+
+def test_stack_density_checks_name_the_same_errors():
+    good = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+    states._require_density(good)
+    for bad, err in ((np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),
+                     (np.diag([1.5, -0.5]), NotPSD),
+                     (np.eye(2), NotDensity)):
+        stack = good.copy()
+        stack[1] = bad
+        with pytest.raises(err):
+            states._require_density(stack)
+    vecs = np.stack([np.array([1.0, 0.0]), np.array([0.6, 0.8])]).astype(complex)
+    states._require_unit(vecs)
+    vecs[1] *= 1.1
+    with pytest.raises(NotDensity):
+        states._require_unit(vecs)
