@@ -18,6 +18,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
+from .linalg import _dagger
 from .errors import (
     DegeneratePair,
     DimMismatch,
@@ -183,113 +184,150 @@ def absolute_error(delta1: float, delta2: float) -> float:
     return math.sin(d1) + math.sin(d2)
 
 
-def _ideal_outputs(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
-    """f, the ideal L-fold outputs and the angle between them, cross-checked.
+def _kron_power(k: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power of a matrix, unvalidated."""
+    return reduce(np.kron, [k] * n)
 
-    The angle is computed from the actual tensor-power states, and its sine
-    (the relative error's denominator) must agree with sqrt(1 - f^(2L))
-    (root-fidelity multiplicativity) within 1e-9; disagreement means the
-    inputs or the arithmetic are broken.
+
+def _bures(a: np.ndarray, b: np.ndarray) -> float:
+    """u = 1 - sqrt(F(A A^dagger, B B^dagger)) = 1/2 ||A - B W||_F^2, unvalidated:
+    A A^dagger and B B^dagger of unit trace, and A at least as wide as B.
+
+    W is the polar factor of B^dagger A, so ||B^dagger A||_1 = sqrt(F)
+    (Uhlmann), and the Bures form is a sum of squares: u keeps its relative
+    precision as F -> 1, where 1 - F from F loses half the digits of
+    sqrt(1 - F).
+    """
+    p, _, qh = np.linalg.svd(_dagger(b) @ a, full_matrices=False)
+    diff = a - b @ (p @ qh)
+    return min(0.5 * float(np.vdot(diff, diff).real), 1.0)
+
+
+def _sine(u: float) -> float:
+    """sin(delta) for cos(delta) = 1 - u."""
+    return math.sqrt(u * (2.0 - u))
+
+
+def _angle(u: float) -> float:
+    """delta = arccos(1 - u) as 2 arcsin(sqrt(u / 2)), which has no cancellation."""
+    return 2.0 * math.asin(math.sqrt(u / 2.0))
+
+
+def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
+    """f, the factors K_i of rho_i, the ideal L-fold factors B_i = K_i^(x)L
+    and u = 1 - cos(angle between the ideal outputs), cross-checked.
+
+    The sine of that angle (the relative error's denominator) must agree
+    with sqrt(1 - f^(2L)) (root-fidelity multiplicativity) within 1e-9;
+    disagreement means the inputs or the arithmetic are broken.
     """
     f = math.sqrt(fidelity(rho1, rho2))
     if f >= 1.0 - DEGENERATE_TOL:
         raise IndistinguishablePair(
             f"inputs have root fidelity {f}; relative error is 0/0"
         )
-    ideals = (tensor_power(rho1, n_out), tensor_power(rho2, n_out))
-    delta = angle(*ideals)
-    sine = math.sin(delta)
+    factors = [linalg._psd_factor(rho.matrix) for rho in (rho1, rho2)]
+    ideals = [_kron_power(k, n_out) for k in factors]
+    u = _bures(*sorted(ideals, key=lambda b: -b.shape[1]))  # the wider first
+    sine = _sine(u)
     cross = math.sqrt(max(0.0, 1.0 - f ** (2 * n_out)))
     if abs(sine - cross) > 1e-9:
         raise SoundnessViolation(
             f"denominator {sine} disagrees with sqrt(1-f^(2L)) = {cross}"
         )
-    return f, ideals, delta
+    return f, factors, ideals, u
 
 
 def relative_error(delta1: float, delta2: float, rho1: DensityMatrix,
                    rho2: DensityMatrix, n_out: int = 2) -> float:
     """(sin d1 + sin d2) / sin(angle between the ideal L-fold outputs)."""
     numer = absolute_error(delta1, delta2)
-    _, _, delta = _ideal_outputs(rho1, rho2, n_out)
-    return numer / math.sin(delta)
-
-
-def _root(m: np.ndarray) -> np.ndarray:
-    """PSD root of a matrix that is Hermitian up to rounding, unvalidated."""
-    return linalg._sqrt_from_eig(*np.linalg.eigh((m + m.conj().T) / 2.0))
+    return numer / _sine(_ideal_factors(rho1, rho2, n_out)[3])
 
 
 class _Channel:
-    """A setup's cloning problem, ready to be evaluated under any joint unitary V.
+    """A setup's cloning problem in factor form, ready to be evaluated under
+    any joint unitary V.
 
-    Built once per problem, it holds what does not depend on V: the joint
-    inputs rho^(x)N (x) upsilon, the ideal L-fold outputs and their roots,
-    f, phi, the bound and the angle between the ideal outputs, whose sine
-    is the relative error's denominator. ``evaluate`` is the one
-    unvalidated evaluation path: the search calls it directly, and
-    apply_cloning wraps its outputs as validated states.
+    Built once per problem from the small eigh of rho_1, rho_2, upsilon_1 and
+    upsilon_2, it holds what does not depend on V: the input factors
+    K_i = K_rho_i^(x)N (x) Y_i, with K_i K_i^dagger = rho_i^(x)N (x) upsilon_i,
+    side by side so that one product V [K_1 K_2] serves both inputs; the
+    ideal factors B_i; f, phi, the bound and the angle between the ideal
+    outputs, whose sine is the relative error's denominator. No n x n matrix
+    is formed. ``evaluate`` is the one unvalidated evaluation path: the
+    search calls it directly, and apply_cloning wraps its outputs as
+    validated states.
     """
 
     def __init__(self, setup: CloningSetup):
         s = setup
-        self.f, self.ideals, self.ideal_angle = _ideal_outputs(s.rho1, s.rho2, s.n_out)
-        self.denominator = math.sin(self.ideal_angle)
+        self.f, factors, self.ideal_factors, u = _ideal_factors(s.rho1, s.rho2, s.n_out)
+        self.ideal_angle, self.denominator = _angle(u), _sine(u)
         self.phi = math.sqrt(fidelity(s.upsilon1, s.upsilon2))
         self.bound = lower_bound(self.f, self.phi, s.n_in, s.n_out)
-        self.inputs = [linalg.kron(tensor_power(rho, s.n_in).matrix, ups.matrix)
-                       for rho, ups in ((s.rho1, s.upsilon1), (s.rho2, s.upsilon2))]
-        self.ideal_roots = [_root(ideal.matrix) for ideal in self.ideals]
-        self.out_dim, self.env_dim = s.d ** s.n_out, s.env_dim
+        self.out_dim = s.d ** s.n_out
+        inputs = []
+        for k, ideal, ups in zip(factors, self.ideal_factors, (s.upsilon1, s.upsilon2)):
+            inp = np.kron(_kron_power(k, s.n_in), linalg._psd_factor(ups.matrix))
+            # zero columns up to e * cols >= rank(B_i): the output factor must
+            # be at least as wide as the ideal one for _bures
+            cols = -(-ideal.shape[1] // s.env_dim)
+            inputs.append(np.pad(inp, ((0, 0), (0, max(0, cols - inp.shape[1])))))
+        self.split = inputs[0].shape[1]
+        self.inputs = np.hstack(inputs)
 
-    def _outputs(self, v: np.ndarray) -> list[np.ndarray]:
-        """Tr_env(V (rho^(x)N (x) upsilon) V^dagger) for both inputs."""
-        o, e = self.out_dim, self.env_dim
-        vh = v.conj().T
-        return [(v @ inp @ vh).reshape(o, e, o, e).trace(axis1=1, axis2=3)
-                for inp in self.inputs]
+    def _factors(self, v: np.ndarray) -> list[np.ndarray]:
+        """Output factors A_i = (V K_i).reshape(o, e * cols_i) of both inputs:
+        A_i A_i^dagger = Tr_env(V (rho_i^(x)N (x) upsilon_i) V^dagger)."""
+        vk = v @ self.inputs
+        o = self.out_dim
+        return [vk[:, :self.split].reshape(o, -1), vk[:, self.split:].reshape(o, -1)]
 
     @staticmethod
-    def _fidelity(out: np.ndarray, ideal: DensityMatrix, ideal_root: np.ndarray) -> float:
-        s = np.linalg.svd(_root(out) @ ideal_root, compute_uv=False)
-        fid = min(max(float(np.sum(s)) ** 2, 0.0), 1.0)
-        # an exact copy reads F = 1, as in states.fidelity; within 1e-12 in
-        # Frobenius norm, F >= 1 - 7e-11, so only F above 1 - 1e-9 is tested
-        if fid > 1.0 - 1e-9 and _same_state(out, ideal.matrix):
-            return 1.0
-        return fid
+    def _distance(a: np.ndarray, b: np.ndarray) -> float:
+        """u = 1 - sqrt(F) of an output to its ideal; an exact copy reads 0.
+
+        The copy rule is states.fidelity's: within 1e-12 in Frobenius norm,
+        u <= trace distance <= 3.2e-11 at o <= 4096, so only u <= 1e-9 is
+        tested.
+        """
+        u = _bures(a, b)
+        if u <= 1e-9 and _same_state(a @ _dagger(a), b @ _dagger(b)):
+            return 0.0
+        return u
 
     def evaluate(self, v: np.ndarray):
-        """(outputs, fidelities to the ideals, absolute and relative error).
+        """(output factors, u_i = 1 - sqrt(F_i), absolute and relative error).
 
-        The outputs are not symmetrized. Raises SoundnessViolation if the
-        relative error lands below the bound minus SOUNDNESS_TOL, which no
-        correct evaluation can do.
+        Raises SoundnessViolation if the relative error lands below the bound
+        minus SOUNDNESS_TOL, which no correct evaluation can do.
         """
-        outs = self._outputs(v)
-        fids = [self._fidelity(out, ideal, root)
-                for out, ideal, root in zip(outs, self.ideals, self.ideal_roots)]
-        # sin(arccos(sqrt(F))) per branch
-        abs_err = math.sqrt(1.0 - fids[0]) + math.sqrt(1.0 - fids[1])
+        factors = self._factors(v)
+        us = [self._distance(a, b) for a, b in zip(factors, self.ideal_factors)]
+        abs_err = _sine(us[0]) + _sine(us[1])
         rel_err = abs_err / self.denominator
         if rel_err < self.bound - SOUNDNESS_TOL:
             raise SoundnessViolation(
                 f"relative error {rel_err} below bound {self.bound} - {SOUNDNESS_TOL}"
             )
-        return outs, fids, abs_err, rel_err
+        return factors, us, abs_err, rel_err
 
     def __call__(self, v: np.ndarray) -> float:
         return self.evaluate(v)[3]
 
     def outcome(self, v: np.ndarray) -> CloneOutcome:
-        outs, fids, abs_err, rel_err = self.evaluate(v)
-        out1, out2 = (DensityMatrix((m + m.conj().T) / 2.0) for m in outs)
-        delta1, delta2 = (float(np.arccos(np.sqrt(fid))) for fid in fids)
-        return CloneOutcome(out1, out2, delta1, delta2, abs_err, rel_err)
+        factors, us, abs_err, rel_err = self.evaluate(v)
+        outs = [a @ _dagger(a) for a in factors]
+        out1, out2 = (DensityMatrix((m + _dagger(m)) / 2.0) for m in outs)
+        return CloneOutcome(out1, out2, _angle(us[0]), _angle(us[1]), abs_err, rel_err)
 
 
 def apply_cloning(setup: CloningSetup) -> CloneOutcome:
     """Evaluate the channel: conjugate by V, trace out the environment.
+
+    The outputs are A_i A_i^dagger from the channel's output factors, and
+    delta_i = arccos(sqrt F_i) comes from the Bures form (see _Channel).
 
     Raises SoundnessViolation if the relative error lands below the lower
     bound minus 1e-8, which no correct evaluation can do.
@@ -300,7 +338,7 @@ def apply_cloning(setup: CloningSetup) -> CloneOutcome:
 def lower_bound(f: float, phi: float, n_in: int = 1, n_out: int = 2) -> float:
     """Closed-form floor on the relative error of any N -> L cloner.
 
-    Zero for phi <= f^M (M = L - N); otherwise
+    Zero for phi <= f^M (M = L - N) and for f = 0; otherwise
     f^N * phi - f^L * sqrt(1 - f^(2N) phi^2) / sqrt(1 - f^(2L)).
     The branch split alone keeps the value nonnegative; no clamp is applied.
     """
@@ -308,11 +346,14 @@ def lower_bound(f: float, phi: float, n_in: int = 1, n_out: int = 2) -> float:
     if b.f >= 1.0 - DEGENERATE_TOL:
         raise DegeneratePair("bound undefined at f = 1 (coinciding inputs)")
     m_extra = b.n_out - b.n_in
-    if b.phi <= b.f ** m_extra:
+    if b.f == 0.0 or b.phi <= b.f ** m_extra:
         return 0.0
+    # each 1 - f^k as -expm1(k log f): no cancellation as f -> 1
+    log_f = math.log(b.f)
     return (b.f ** b.n_in * b.phi
-            - b.f ** b.n_out * math.sqrt(1.0 - b.f ** (2 * b.n_in) * b.phi ** 2)
-            / math.sqrt(1.0 - b.f ** (2 * b.n_out)))
+            - b.f ** b.n_out
+            * math.sqrt(-math.expm1(2.0 * (b.n_in * log_f + math.log(b.phi))))
+            / math.sqrt(-math.expm1(2.0 * b.n_out * log_f)))
 
 
 @dataclass

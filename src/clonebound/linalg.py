@@ -109,16 +109,28 @@ def _psd_root(m: np.ndarray):
     return (r + _dagger(r)) / 2.0, w
 
 
-def _sqrt_from_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u diag(sqrt(w)) u^dagger over a (..., d) / (..., d, d) stack, unvalidated.
-
-    The one null-space cutoff behind every PSD root: negative eigenvalues
+def _root_weights(w: np.ndarray) -> np.ndarray:
+    """sqrt of ascending eigenvalues over a (..., d) stack, with the one
+    null-space cutoff behind every PSD root and factor: negative eigenvalues
     clip to 0, and those below 1e-14 of their own matrix's largest are
-    zeroed as noise (see sqrt_psd).
-    """
+    zeroed as noise (see sqrt_psd)."""
     w = np.clip(w, 0.0, None)
     w[w < 1e-14 * w[..., -1:]] = 0.0
-    return (u * np.sqrt(w)[..., None, :]) @ _dagger(u)
+    return np.sqrt(w)
+
+
+def _sqrt_from_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u diag(sqrt(w)) u^dagger over a (..., d) / (..., d, d) stack, unvalidated."""
+    return (u * _root_weights(w)[..., None, :]) @ _dagger(u)
+
+
+def _psd_factor(m: np.ndarray) -> np.ndarray:
+    """K with K K^dagger = m for a PSD matrix m, unvalidated: the columns of
+    u diag(sqrt(w)) whose weight survives the root cutoff, so K is d x rank."""
+    w, u = np.linalg.eigh(m)
+    s = _root_weights(w)
+    keep = s > 0.0
+    return u[:, keep] * s[keep]
 
 
 def kron(a, b) -> np.ndarray:

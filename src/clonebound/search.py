@@ -10,7 +10,9 @@ reporting, because the bound is a theorem.
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -248,7 +250,15 @@ class InequalityCheck:
     trials: int
     violations: int
     max_margin: float  # largest lhs - rhs seen (NaN if any); a violation is not <= slack
-    worst_case: dict
+    # the worst trial's inputs as serialized objects, or a callable that
+    # validates and serializes them on first use of worst_case
+    _worst_case: dict | Callable[[], dict] = field(repr=False)
+
+    @property
+    def worst_case(self) -> dict:
+        if callable(self._worst_case):
+            self._worst_case = self._worst_case()
+        return self._worst_case
 
     def to_dict(self) -> dict:
         return {
@@ -405,7 +415,9 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     trials as (batch, d, d) stacks, CHUNK at a time. Margins are lhs - rhs;
     any margin not at or below the slack, NaN included, counts as a
     violation. Only the worst trial (the first maximum, or the first NaN) is
-    validated as objects and serialized into the report.
+    validated as objects and serialized into the report: the four together,
+    on the first use of any check's worst_case, so a report written as CSV
+    serializes none.
     """
     d = int(d)
     trials = int(trials)
@@ -418,7 +430,9 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
         raise OutOfRange(f"seed {seed} must be >= 0")
     rng = np.random.default_rng([seed, d])
     report = VerificationReport(d=d, trials=trials, seed=seed, slack=SLACK)
-    for name, family in _FAMILIES:
+    describes = []  # the worst trial's describe, per family
+    worst_cases = functools.cache(lambda: [describe() for describe in describes])
+    for k, (name, family) in enumerate(_FAMILIES):
         violations = 0
         worst = None  # (margin, describe of its chunk, index in the chunk)
         for start in range(0, trials, CHUNK):
@@ -429,8 +443,9 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
             # larger margin, or with a NaN over a number
             if worst is None or np.argmax([worst[0], margins[i]]) == 1:
                 worst = (margins[i], describe, i)
-        report.checks.append(InequalityCheck(name, trials, violations,
-                                             float(worst[0]), worst[1](worst[2])))
+        describes.append(functools.partial(worst[1], worst[2]))
+        report.checks.append(InequalityCheck(name, trials, violations, float(worst[0]),
+                                             lambda k=k: worst_cases()[k]))
     return report
 
 

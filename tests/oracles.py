@@ -25,6 +25,46 @@ def lower_bound_one_to_two(f: float, phi: float) -> float:
     return f * phi - f ** 2 * math.sqrt(1.0 - f ** 2 * phi ** 2) / math.sqrt(1.0 - f ** 4)
 
 
+def lower_bound_mp(f: float, phi: float, n_in: int, n_out: int, digits: int = 50):
+    """cloning.lower_bound's closed form at ``digits`` decimal digits (an mpf),
+    for 0 < f < 1 and phi > f^(n_out - n_in)."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        f, phi = mpmath.mpf(f), mpmath.mpf(phi)
+        return (f ** n_in * phi
+                - f ** n_out * mpmath.sqrt(1 - f ** (2 * n_in) * phi ** 2)
+                / mpmath.sqrt(1 - f ** (2 * n_out)))
+
+
+def pure_clone_sines_mp(psi1: np.ndarray, psi2: np.ndarray, v: np.ndarray,
+                        digits: int = 40) -> list[float]:
+    """sin(delta_i) of the 1 -> 2 cloner v on pure qubit inputs, at ``digits`` digits.
+
+    Input i is |psi_i>|0> (blank ancilla, no environment), its output the
+    pure state v|psi_i 0>, its ideal |psi_i psi_i>; the entries of psi_i and v
+    are taken as exact, and the output is normalized, since a float64 v is
+    unitary only to ~1e-16. sin(delta) = sqrt(1 - |<ideal|output>|^2) loses
+    about 16 of the digits, which leaves far more than float64 holds.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        vm = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in v])
+        sines = []
+        for psi in (psi1, psi2):
+            x = [mpmath.mpc(complex(c)) for c in psi]
+            norm = mpmath.sqrt(sum(abs(c) ** 2 for c in x))
+            x = [c / norm for c in x]
+            inp = mpmath.matrix([c * b for c in x for b in (1, 0)])
+            ideal = [a * b for a in x for b in x]
+            out = vm * inp
+            ov = sum(mpmath.conj(ideal[k]) * out[k] for k in range(len(ideal)))
+            out_norm2 = sum(abs(out[k]) ** 2 for k in range(len(ideal)))
+            sines.append(float(mpmath.sqrt(1 - abs(ov) ** 2 / out_norm2)))
+    return sines
+
+
 def fidelity_sqrtm(a: np.ndarray, b: np.ndarray) -> float:
     """(Tr sqrt(sqrt(a) b sqrt(a)))^2 evaluated literally via scipy.sqrtm."""
     s = sla.sqrtm(a)

@@ -9,9 +9,9 @@ import pytest
 
 import clonebound
 from clonebound.cli import build_parser, main
-from clonebound.cloning import lower_bound
+from clonebound.cloning import SOUNDNESS_TOL, lower_bound
 from clonebound.search import OptimizerConfig
-from clonebound.states import DensityMatrix, random_density
+from clonebound.states import DensityMatrix, PureState, random_density
 
 import oracles
 
@@ -127,6 +127,20 @@ def test_optimize_restricted_run(tmp_path, capsys):
     assert doc["config"]["iterations"] == 50
     assert doc["config"]["seed"] == 0  # documented default
     capsys.readouterr()
+
+
+def test_optimize_pure_pair_at_the_bound_exits_0(tmp_path, capsys):
+    # the best unitary copies input 1 almost exactly; read through
+    # sqrt(1 - F) of the output matrix it sat 7.7e-8 below the bound (exit 1)
+    pair = {name: PureState(np.array([np.cos(t), np.sin(t)], dtype=complex))
+            .density().to_dict() for name, t in (("rho1", 0.0), ("rho2", 0.2))}
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({**pair, "restricted": True}))
+    assert main(["optimize", "--config", str(cfg), "--restarts", "3",
+                 "--iterations", "1500"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["seed"] == 0
+    assert doc["gap"] >= -SOUNDNESS_TOL
 
 
 def test_optimize_flags_override_config(tmp_path, capsys):

@@ -90,6 +90,31 @@ def test_lower_bound_two_routes_agree():
                        - oracles.lower_bound_one_to_two(f, phi)) <= 1e-15
 
 
+def test_lower_bound_near_f_one_matches_a_50_digit_reference():
+    # 1 - f^k rounded directly loses digits as f -> 1 (relative error up to
+    # ~5e-8 at f = 1 - 1e-9). phi is kept at least halfway from f^M to 1: nearer
+    # the threshold the bound's own condition number ~ f^M / (phi - f^M)
+    # sets the error of any float64 evaluation.
+    hyp = pytest.importorskip("hypothesis")
+    pytest.importorskip("mpmath")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.one_of(st.floats(1e-6, 1.0 - 1e-9),
+                         st.floats(1e-9, 1e-3).map(lambda gap: 1.0 - gap)),
+               st.floats(0.5, 1.0), st.integers(1, 3), st.integers(1, 3))
+    def check(f, t, n_in, m_extra):
+        n_out = n_in + m_extra
+        phi = min(f ** m_extra + t * (1.0 - f ** m_extra), 1.0)
+        hyp.assume(phi > f ** m_extra)
+        want = oracles.lower_bound_mp(f, phi, n_in, n_out)
+        got = lower_bound(f, phi, n_in, n_out)
+        assert abs(got - want) <= 1e-14 * abs(want), (f, phi, n_in, n_out)
+
+    check()
+    assert lower_bound(0.0, 0.5, 2, 3) == 0.0
+
+
 def test_lower_bound_monotone_in_phi():
     for f in (0.1, 0.45, 0.8):
         for n_in, n_out in ((1, 2), (2, 3)):
@@ -281,8 +306,8 @@ def test_soundness_guard_fires_on_a_faulty_channel(monkeypatch):
     setup = CloningSetup(rho1, rho2, ups, ups, np.eye(4, dtype=complex), 1, 2, 1)
     assert lower_bound(math.sqrt(fidelity(rho1, rho2)), 1.0) > 0.2
     assert apply_cloning(setup).relative_error > 0.1
-    monkeypatch.setattr(cloning._Channel, "_outputs",
-                        lambda self, v: [ideal.matrix for ideal in self.ideals])
+    monkeypatch.setattr(cloning._Channel, "_factors",
+                        lambda self, v: list(self.ideal_factors))
     with pytest.raises(SoundnessViolation):
         apply_cloning(setup)
     with pytest.raises(SoundnessViolation):

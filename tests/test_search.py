@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clonebound.cloning import CloningSetup, apply_cloning
+from clonebound.cloning import SOUNDNESS_TOL, CloningSetup, apply_cloning
 from clonebound.errors import BudgetZero, OutOfRange
 from clonebound.search import (
     OptimizerConfig,
@@ -143,6 +143,38 @@ def test_restricted_search_converges_on_pure_pair():
     assert res.best_r >= res.bound - 1e-8
 
 
+# restricted pure-pair problems whose best unitaries copy input 1 almost
+# exactly (F_1 -> 1); an evaluator taking sin(delta) = sqrt(1 - F) from the
+# output matrix's root read them up to 2e-7 below the bound and raised
+_NEAR_COPY_PROBLEMS = ((0.2, 0), (0.05, 0), (0.05, 1), (0.05, 2))
+
+
+@pytest.fixture(scope="module")
+def near_copy_searches():
+    return {(theta, seed): restricted_cloner_search(
+                _pure(0.0), _pure(theta),
+                OptimizerConfig(restarts=3, iterations=1500, seed=seed))
+            for theta, seed in _NEAR_COPY_PROBLEMS}
+
+
+def test_pure_pair_searches_at_the_bound_raise_no_false_alarm(near_copy_searches):
+    for res in near_copy_searches.values():  # building them raised nothing
+        assert res.gap >= -SOUNDNESS_TOL
+        assert res.gap < 1e-3
+
+
+def test_pure_pair_sines_match_a_40_digit_oracle(near_copy_searches):
+    pytest.importorskip("mpmath")
+    blank = _pure(0.0)
+    for (theta, _), res in near_copy_searches.items():
+        setup = CloningSetup(_pure(0.0), _pure(theta), blank, blank, res.best_v, 1, 2, 1)
+        out = apply_cloning(setup)
+        psi2 = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+        want = oracles.pure_clone_sines_mp(np.array([1.0, 0.0]), psi2, res.best_v)
+        got = [math.sin(out.delta1), math.sin(out.delta2)]
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-15, (theta, got, want)
+
+
 def test_restricted_search_dimension_cap():
     rng = np.random.default_rng(9)
     big = DensityMatrix(oracles.random_density(rng, 5, 5))
@@ -221,7 +253,8 @@ def test_verify_counts_a_nan_margin_as_a_violation(monkeypatch, capsys):
     assert "NaN" in capsys.readouterr().out
 
 
-def test_verify_serializes_only_the_worst_trials(monkeypatch):
+def _count_serialization(monkeypatch) -> list:
+    """Record every matrix_to_entries / vector_to_entries call, wherever bound."""
     calls = []
 
     def counting(fn):
@@ -235,10 +268,26 @@ def test_verify_serializes_only_the_worst_trials(monkeypatch):
         for mod in (serialize, states, measure, search):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapped)
+    return calls
+
+
+def test_verify_serializes_only_the_worst_trials(monkeypatch):
+    calls = _count_serialization(monkeypatch)
     report = verify_inequalities(2, 200, seed=1)
     povm = report.checks[2].worst_case["povm"]
     # 3 + 3 states, the worst POVM's elements and 2 states, 2 vectors + 1 projector
     assert len(calls) == 11 + len(povm["elements"]) <= 16
+
+
+def test_verify_csv_serializes_no_worst_case(monkeypatch, tmp_path, capsys):
+    calls = _count_serialization(monkeypatch)
+    for d in (2, 3, 4):
+        assert main(["verify", "--dim", str(d), "--trials", "40", "--seed", "21",
+                     "--format", "csv", "--out", str(tmp_path / "v.csv")]) == 0
+    assert calls == []
+    assert main(["verify", "--trials", "40", "--out", str(tmp_path / "v.json")]) == 0
+    assert len(calls) >= 11
+    capsys.readouterr()
 
 
 def test_verify_chunk_boundary_is_counted_and_deterministic():
