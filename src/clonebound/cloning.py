@@ -30,9 +30,10 @@ from .errors import (
 from .serialize import entries_to_matrix, matrix_to_entries
 from .states import (
     DensityMatrix,
-    _same_state,
-    angle,
-    fidelity,
+    _angle,
+    _bures,
+    _sine,
+    fidelity,  # noqa: F401  (cloning.fidelity stays importable)
     purifications_with_overlap,
 )
 
@@ -189,30 +190,6 @@ def _kron_power(k: np.ndarray, n: int) -> np.ndarray:
     return reduce(np.kron, [k] * n)
 
 
-def _bures(a: np.ndarray, b: np.ndarray) -> float:
-    """u = 1 - sqrt(F(A A^dagger, B B^dagger)) = 1/2 ||A - B W||_F^2, unvalidated:
-    A A^dagger and B B^dagger of unit trace, and A at least as wide as B.
-
-    W is the polar factor of B^dagger A, so ||B^dagger A||_1 = sqrt(F)
-    (Uhlmann), and the Bures form is a sum of squares: u keeps its relative
-    precision as F -> 1, where 1 - F from F loses half the digits of
-    sqrt(1 - F).
-    """
-    p, _, qh = np.linalg.svd(_dagger(b) @ a, full_matrices=False)
-    diff = a - b @ (p @ qh)
-    return min(0.5 * float(np.vdot(diff, diff).real), 1.0)
-
-
-def _sine(u: float) -> float:
-    """sin(delta) for cos(delta) = 1 - u."""
-    return math.sqrt(u * (2.0 - u))
-
-
-def _angle(u: float) -> float:
-    """delta = arccos(1 - u) as 2 arcsin(sqrt(u / 2)), which has no cancellation."""
-    return 2.0 * math.asin(math.sqrt(u / 2.0))
-
-
 def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
     """f, the factors K_i of rho_i, the ideal L-fold factors B_i = K_i^(x)L
     and u = 1 - cos(angle between the ideal outputs), cross-checked.
@@ -221,15 +198,15 @@ def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
     with sqrt(1 - f^(2L)) (root-fidelity multiplicativity) within 1e-9;
     disagreement means the inputs or the arithmetic are broken.
     """
-    f = math.sqrt(fidelity(rho1, rho2))
+    factors = [linalg._psd_factor(rho.matrix) for rho in (rho1, rho2)]
+    f = 1.0 - float(_bures(*factors))
     if f >= 1.0 - DEGENERATE_TOL:
         raise IndistinguishablePair(
             f"inputs have root fidelity {f}; relative error is 0/0"
         )
-    factors = [linalg._psd_factor(rho.matrix) for rho in (rho1, rho2)]
     ideals = [_kron_power(k, n_out) for k in factors]
-    u = _bures(*sorted(ideals, key=lambda b: -b.shape[1]))  # the wider first
-    sine = _sine(u)
+    u = float(_bures(*ideals))
+    sine = float(_sine(u))
     cross = math.sqrt(max(0.0, 1.0 - f ** (2 * n_out)))
     if abs(sine - cross) > 1e-9:
         raise SoundnessViolation(
@@ -242,7 +219,17 @@ def relative_error(delta1: float, delta2: float, rho1: DensityMatrix,
                    rho2: DensityMatrix, n_out: int = 2) -> float:
     """(sin d1 + sin d2) / sin(angle between the ideal L-fold outputs)."""
     numer = absolute_error(delta1, delta2)
-    return numer / _sine(_ideal_factors(rho1, rho2, n_out)[3])
+    return numer / float(_sine(_ideal_factors(rho1, rho2, n_out)[3]))
+
+
+def _side_by_side(factors: list[np.ndarray]) -> np.ndarray:
+    """Two factors as one (2, n, k) stack, the narrower one padded with zero
+    columns, which leave K K^dagger unchanged."""
+    stack = np.zeros((2, factors[0].shape[0], max(f.shape[1] for f in factors)),
+                     dtype=complex)
+    for s, f in zip(stack, factors):
+        s[:, :f.shape[1]] = f
+    return stack
 
 
 class _Channel:
@@ -252,50 +239,32 @@ class _Channel:
     Built once per problem from the small eigh of rho_1, rho_2, upsilon_1 and
     upsilon_2, it holds what does not depend on V: the input factors
     K_i = K_rho_i^(x)N (x) Y_i, with K_i K_i^dagger = rho_i^(x)N (x) upsilon_i,
-    side by side so that one product V [K_1 K_2] serves both inputs; the
-    ideal factors B_i; f, phi, the bound and the angle between the ideal
-    outputs, whose sine is the relative error's denominator. No n x n matrix
+    and the ideal factors B_i, each pair as one stack, so that one product
+    V K and one states._bures call serve both inputs; f, phi, the bound and
+    the angle between the ideal outputs, whose sine is the relative error's
+    denominator, all from states._bures on the small factors. No n x n matrix
     is formed. ``evaluate`` is the one unvalidated evaluation path: the
-    search calls it directly, and apply_cloning wraps its outputs as
-    validated states.
+    search and proof_chain_check call it directly, and apply_cloning wraps
+    its outputs as validated states.
     """
 
     def __init__(self, setup: CloningSetup):
         s = setup
-        self.f, factors, self.ideal_factors, u = _ideal_factors(s.rho1, s.rho2, s.n_out)
-        self.ideal_angle, self.denominator = _angle(u), _sine(u)
-        self.phi = math.sqrt(fidelity(s.upsilon1, s.upsilon2))
+        self.f, factors, ideals, u = _ideal_factors(s.rho1, s.rho2, s.n_out)
+        self.ideal_angle, self.denominator = float(_angle(u)), float(_sine(u))
+        ancillas = [linalg._psd_factor(ups.matrix) for ups in (s.upsilon1, s.upsilon2)]
+        self.phi = 1.0 - float(_bures(*ancillas))
         self.bound = lower_bound(self.f, self.phi, s.n_in, s.n_out)
         self.out_dim = s.d ** s.n_out
-        inputs = []
-        for k, ideal, ups in zip(factors, self.ideal_factors, (s.upsilon1, s.upsilon2)):
-            inp = np.kron(_kron_power(k, s.n_in), linalg._psd_factor(ups.matrix))
-            # zero columns up to e * cols >= rank(B_i): the output factor must
-            # be at least as wide as the ideal one for _bures
-            cols = -(-ideal.shape[1] // s.env_dim)
-            inputs.append(np.pad(inp, ((0, 0), (0, max(0, cols - inp.shape[1])))))
-        self.split = inputs[0].shape[1]
-        self.inputs = np.hstack(inputs)
+        self.ideal_factors = _side_by_side(ideals)
+        self.inputs = _side_by_side([np.kron(_kron_power(k, s.n_in), y)
+                                     for k, y in zip(factors, ancillas)])
 
-    def _factors(self, v: np.ndarray) -> list[np.ndarray]:
-        """Output factors A_i = (V K_i).reshape(o, e * cols_i) of both inputs:
-        A_i A_i^dagger = Tr_env(V (rho_i^(x)N (x) upsilon_i) V^dagger)."""
-        vk = v @ self.inputs
-        o = self.out_dim
-        return [vk[:, :self.split].reshape(o, -1), vk[:, self.split:].reshape(o, -1)]
-
-    @staticmethod
-    def _distance(a: np.ndarray, b: np.ndarray) -> float:
-        """u = 1 - sqrt(F) of an output to its ideal; an exact copy reads 0.
-
-        The copy rule is states.fidelity's: within 1e-12 in Frobenius norm,
-        u <= trace distance <= 3.2e-11 at o <= 4096, so only u <= 1e-9 is
-        tested.
-        """
-        u = _bures(a, b)
-        if u <= 1e-9 and _same_state(a @ _dagger(a), b @ _dagger(b)):
-            return 0.0
-        return u
+    def _factors(self, v: np.ndarray) -> np.ndarray:
+        """Output factors A_i = (V K_i).reshape(o, e * k) of both inputs, as
+        one (2, o, e * k) stack: A_i A_i^dagger =
+        Tr_env(V (rho_i^(x)N (x) upsilon_i) V^dagger)."""
+        return (v @ self.inputs).reshape(2, self.out_dim, -1)
 
     def evaluate(self, v: np.ndarray):
         """(output factors, u_i = 1 - sqrt(F_i), absolute and relative error).
@@ -304,8 +273,8 @@ class _Channel:
         minus SOUNDNESS_TOL, which no correct evaluation can do.
         """
         factors = self._factors(v)
-        us = [self._distance(a, b) for a, b in zip(factors, self.ideal_factors)]
-        abs_err = _sine(us[0]) + _sine(us[1])
+        us = _bures(factors, self.ideal_factors)
+        abs_err = float(_sine(us).sum())
         rel_err = abs_err / self.denominator
         if rel_err < self.bound - SOUNDNESS_TOL:
             raise SoundnessViolation(
@@ -315,12 +284,6 @@ class _Channel:
 
     def __call__(self, v: np.ndarray) -> float:
         return self.evaluate(v)[3]
-
-    def outcome(self, v: np.ndarray) -> CloneOutcome:
-        factors, us, abs_err, rel_err = self.evaluate(v)
-        outs = [a @ _dagger(a) for a in factors]
-        out1, out2 = (DensityMatrix((m + _dagger(m)) / 2.0) for m in outs)
-        return CloneOutcome(out1, out2, _angle(us[0]), _angle(us[1]), abs_err, rel_err)
 
 
 def apply_cloning(setup: CloningSetup) -> CloneOutcome:
@@ -332,7 +295,11 @@ def apply_cloning(setup: CloningSetup) -> CloneOutcome:
     Raises SoundnessViolation if the relative error lands below the lower
     bound minus 1e-8, which no correct evaluation can do.
     """
-    return _Channel(setup).outcome(setup.v)
+    factors, us, abs_err, rel_err = _Channel(setup).evaluate(setup.v)
+    outs = factors @ _dagger(factors)
+    out1, out2 = (DensityMatrix(m) for m in (outs + _dagger(outs)) / 2.0)
+    delta1, delta2 = _angle(us).tolist()
+    return CloneOutcome(out1, out2, delta1, delta2, abs_err, rel_err)
 
 
 def lower_bound(f: float, phi: float, n_in: int = 1, n_out: int = 2) -> float:
@@ -396,8 +363,12 @@ def proof_chain_check(setup: CloningSetup) -> ProofChainReport:
     relative error therefore sits above the closed-form bound.
     """
     channel = _Channel(setup)
-    outcome = channel.outcome(setup.v)
-    delta_out = angle(outcome.out1, outcome.out2)
+    factors, us, _, rel_err = channel.evaluate(setup.v)
+    delta1, delta2 = _angle(us).tolist()
+    # R^dagger from a QR of A^dagger is a factor of the same output at most
+    # o columns wide; the e * k wide A would cost an (e * k)^2 SVD
+    outs = _dagger(np.linalg.qr(_dagger(factors), mode="r"))
+    delta_out = float(_angle(_bures(*outs)))
     fn_phi = channel.f ** setup.n_in * channel.phi
 
     report = ProofChainReport()
@@ -408,13 +379,13 @@ def proof_chain_check(setup: CloningSetup) -> ProofChainReport:
                                         margin <= report.slack))
 
     add("angle_triangle_chain", channel.ideal_angle,
-        outcome.delta1 + outcome.delta2 + delta_out)
+        delta1 + delta2 + delta_out)
     add("output_overlap_floor", fn_phi, math.cos(delta_out))
     add("output_sine_ceiling", math.sin(delta_out),
         math.sqrt(max(0.0, 1.0 - min(1.0, fn_phi ** 2))))
-    add("sine_subadditivity", math.sin(outcome.delta1 + outcome.delta2),
-        math.sin(outcome.delta1) + math.sin(outcome.delta2))
-    add("relative_error_floor", channel.bound, outcome.relative_error)
+    add("sine_subadditivity", math.sin(delta1 + delta2),
+        math.sin(delta1) + math.sin(delta2))
+    add("relative_error_floor", channel.bound, rel_err)
     return report
 
 

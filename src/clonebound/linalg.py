@@ -1,8 +1,8 @@
 """Dense complex linear-algebra primitives used by every other module.
 
 Everything here is a pure function on numpy arrays. Matrices are dense,
-double precision, and capped at dimension 4096; tolerances are module
-constants that every operation accepts as keyword overrides.
+double precision, and capped at dimension 4096; tolerances are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -56,57 +56,48 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1)))
 
 
-def require_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> None:
+def require_hermitian(m: np.ndarray) -> None:
     """Raise NotHermitian unless every matrix of a (..., d, d) stack is
-    Hermitian within ``tol`` in Frobenius norm."""
+    Hermitian within TOL_HERM in Frobenius norm."""
     dev = _frobenius(m - _dagger(m)).max()
-    if dev > tol:
-        raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > TOL_HERM:
+        raise NotHermitian(f"Hermitian deviation {dev:.3e} exceeds {TOL_HERM:.1e}")
 
 
-def require_unitary(u: np.ndarray, tol: float = TOL_RECON) -> None:
+def require_unitary(u: np.ndarray) -> None:
     d = u.shape[0]
     # relative Frobenius deviation; identity has norm sqrt(d)
     dev = np.linalg.norm(u.conj().T @ u - np.eye(d)) / np.sqrt(d)
-    if dev > tol:
-        raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > TOL_RECON:
+        raise NotUnitary(f"unitarity deviation {dev:.3e} exceeds {TOL_RECON:.1e}")
 
 
-def hermitian_eig(m, *, tol_herm: float = TOL_HERM):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvector matrix with columns matching).
     """
     a = as_matrix(m)
-    require_hermitian(a, tol_herm)
+    require_hermitian(a)
     w, u = np.linalg.eigh(a)
     return w, u
 
 
-def sqrt_psd(m, *, tol_herm: float = TOL_HERM, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-tol_psd, 0) clamp to 0.
+def sqrt_psd(m) -> np.ndarray:
+    """Hermitian PSD square root; eigenvalues in [-TOL_PSD, 0) clamp to 0.
 
     Eigenvalues below 1e-14 of the largest are zeroed outright, not rooted:
     a rank-deficient input carries eigensolver noise ~1e-16 in its null
-    space, and sqrt would amplify that to ~1e-8 in the result.
+    space, and sqrt would amplify that to ~1e-8 in the result. The root is
+    symmetrized, so it is exactly Hermitian.
     """
     a = as_matrix(m)
-    require_hermitian(a, tol_herm)
-    root, w = _psd_root(a)
-    if w[0] < -tol_psd:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{tol_psd:.1e}")
-    return root
-
-
-def _psd_root(m: np.ndarray):
-    """(PSD root, ascending eigenvalues) of each matrix of a (..., d, d) stack.
-
-    Unvalidated: the kernel behind sqrt_psd and the stack fidelity. The root
-    is symmetrized, so it is exactly Hermitian.
-    """
-    w, u = np.linalg.eigh(m)
-    r = _sqrt_from_eig(w, u)
-    return (r + _dagger(r)) / 2.0, w
+    require_hermitian(a)
+    w, u = np.linalg.eigh(a)
+    if w[0] < -TOL_PSD:
+        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{TOL_PSD:.1e}")
+    r = (u * _root_weights(w)) @ _dagger(u)
+    return (r + _dagger(r)) / 2.0
 
 
 def _root_weights(w: np.ndarray) -> np.ndarray:
@@ -119,18 +110,19 @@ def _root_weights(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _sqrt_from_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u diag(sqrt(w)) u^dagger over a (..., d) / (..., d, d) stack, unvalidated."""
-    return (u * _root_weights(w)[..., None, :]) @ _dagger(u)
+def _root_factor(m: np.ndarray) -> np.ndarray:
+    """K = u diag(sqrt(w)) with K K^dagger = m, per PSD matrix of a
+    (..., d, d) stack, unvalidated: every K is d x d, and the columns the
+    root cutoff drops are zero."""
+    w, u = np.linalg.eigh(m)
+    return u * _root_weights(w)[..., None, :]
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """K with K K^dagger = m for a PSD matrix m, unvalidated: the columns of
-    u diag(sqrt(w)) whose weight survives the root cutoff, so K is d x rank."""
-    w, u = np.linalg.eigh(m)
-    s = _root_weights(w)
-    keep = s > 0.0
-    return u[:, keep] * s[keep]
+    """_root_factor of one PSD matrix without its zero columns, so K is
+    d x rank."""
+    k = _root_factor(m)
+    return k[:, k.any(axis=0)]
 
 
 def kron(a, b) -> np.ndarray:
@@ -173,13 +165,13 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def unitary_exp(h, *, tol_herm: float = TOL_HERM) -> np.ndarray:
+def unitary_exp(h) -> np.ndarray:
     """exp(i*h) for Hermitian h, via the eigendecomposition."""
-    w, u = hermitian_eig(h, tol_herm=tol_herm)
+    w, u = hermitian_eig(h)
     return (u * np.exp(1j * w)) @ u.conj().T
 
 
-def unitary_power(u, t: float, *, tol: float = TOL_RECON) -> np.ndarray:
+def unitary_power(u, t: float) -> np.ndarray:
     """Fractional power of a unitary along its eigenphases.
 
     Phases are taken on the branch (-pi, pi], so u**t is the deterministic
@@ -187,7 +179,7 @@ def unitary_power(u, t: float, *, tol: float = TOL_RECON) -> np.ndarray:
     because it stays an orthonormal eigenbasis even for degenerate phases.
     """
     a = as_matrix(u)
-    require_unitary(a, tol)
+    require_unitary(a)
     tt = float(t)
     if not 0.0 <= tt <= 1.0:
         raise OutOfRange(f"power t={tt} outside [0, 1]")

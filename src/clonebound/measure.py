@@ -25,34 +25,36 @@ from .serialize import entries_to_matrix, matrix_to_entries
 from .states import DensityMatrix, PureState, _ginibre
 
 
-def _require_povm(elems: np.ndarray, tol_herm: float = linalg.TOL_HERM,
-                  tol_psd: float = linalg.TOL_PSD) -> None:
+def _require_povm(elems: np.ndarray) -> None:
     """The POVM invariants on a (..., m, d, d) stack of element lists: each
-    element Hermitian within tol_herm with lowest eigenvalue >= -tol_psd, and
+    element Hermitian within TOL_HERM with lowest eigenvalue >= -TOL_PSD, and
     the elements of each list summing to the identity within 1e-9."""
     dev = linalg._frobenius(elems - linalg._dagger(elems))
-    bad = dev > tol_herm
+    bad = dev > linalg.TOL_HERM
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InvalidPOVM(f"element {k % bad.shape[-1]} not Hermitian (dev {dev.flat[k]:.3e})")
     low = np.linalg.eigvalsh(elems)[..., 0]
-    bad = low < -tol_psd
+    bad = low < -linalg.TOL_PSD
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InvalidPOVM(f"element {k % bad.shape[-1]} eigenvalue {low.flat[k]:.3e} "
-                          f"below -{tol_psd:.1e}")
+                          f"below -{linalg.TOL_PSD:.1e}")
     res = float(np.max(linalg._frobenius(elems.sum(axis=-3) - np.eye(elems.shape[-1]))))
     if res > 1e-9:
         raise InvalidPOVM(f"elements sum to identity only within {res:.3e}")
 
 
-def _require_projector(p: np.ndarray, tol: float = 1e-9) -> None:
-    """Each matrix of a (..., d, d) stack Hermitian and idempotent within tol."""
-    bad = ((linalg._frobenius(p - linalg._dagger(p)) > tol)
-           | (linalg._frobenius(p @ p - p) > tol))
+TOL_PROJ = 1e-9
+
+
+def _require_projector(p: np.ndarray) -> None:
+    """Each matrix of a (..., d, d) stack Hermitian and idempotent within TOL_PROJ."""
+    bad = ((linalg._frobenius(p - linalg._dagger(p)) > TOL_PROJ)
+           | (linalg._frobenius(p @ p - p) > TOL_PROJ))
     if np.any(bad):
         raise NotProjector(f"matrix {int(np.argmax(bad))} is not an orthogonal "
-                           f"projector within {tol:.0e}")
+                           f"projector within {TOL_PROJ:.0e}")
 
 
 class POVM:
@@ -60,8 +62,7 @@ class POVM:
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements, *, tol_herm: float = linalg.TOL_HERM,
-                 tol_psd: float = linalg.TOL_PSD):
+    def __init__(self, elements):
         elems = [linalg.as_matrix(e) for e in elements]
         if not elems:
             raise InvalidPOVM("POVM needs at least one element")
@@ -69,7 +70,7 @@ class POVM:
         for i, e in enumerate(elems):
             if e.shape[0] != d:
                 raise InvalidPOVM(f"element {i} dim {e.shape[0]} != {d}")
-        _require_povm(np.stack(elems), tol_herm, tol_psd)
+        _require_povm(np.stack(elems))
         self.elements = elems
 
     @property
@@ -97,7 +98,7 @@ class ProjectiveMeasurement:
 
     __slots__ = ("projectors",)
 
-    def __init__(self, projectors, *, tol: float = 1e-9):
+    def __init__(self, projectors):
         projs = [linalg.as_matrix(p) for p in projectors]
         if not projs:
             raise NotProjector("measurement needs at least one projector")
@@ -105,12 +106,12 @@ class ProjectiveMeasurement:
         for i, p in enumerate(projs):
             if p.shape[0] != d:
                 raise NotProjector(f"projector {i} dim {p.shape[0]} != {d}")
-        _require_projector(np.stack(projs), tol)
+        _require_projector(np.stack(projs))
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
-                if np.linalg.norm(projs[i] @ projs[j]) > tol:
+                if np.linalg.norm(projs[i] @ projs[j]) > TOL_PROJ:
                     raise NotProjector(f"projectors {i},{j} not orthogonal")
-        if np.linalg.norm(sum(projs) - np.eye(d)) > tol:
+        if np.linalg.norm(sum(projs) - np.eye(d)) > TOL_PROJ:
             raise NotProjector("projectors do not sum to identity")
         self.projectors = projs
 
@@ -178,9 +179,10 @@ def naimark_dilate(povm: POVM) -> DilationResult:
     """Realize a POVM as a projective measurement on system (x) ancilla.
 
     The isometry W|psi> = sum_a (sqrt(E_a)|psi>) (x) |a> is polished to exact
-    column orthonormality and completed to a unitary U over the canonical
-    fill-in basis (deterministic order); the projectors are
-    U^dagger (1 (x) |a><a|) U and the ancilla is |0><0| on C^m.
+    column orthonormality and completed to a unitary U by the orthonormal
+    complement from one complete QR of W, placed in the columns W leaves
+    free, in order; the projectors are U^dagger (1 (x) |a><a|) U and the
+    ancilla is |0><0| on C^m.
     """
     d = povm.dim
     m = povm.outcomes
@@ -200,24 +202,7 @@ def naimark_dilate(povm: POVM) -> DilationResult:
 
     u = np.zeros((dm, dm), dtype=complex)
     u[:, rows] = w
-    basis = [w[:, j] for j in range(d)]
-    free = [c for c in range(dm) if c % m != 0] if m > 1 else []
-    fill = iter(free)
-    for k in range(dm):
-        if len(basis) == dm:
-            break
-        v = np.zeros(dm, dtype=complex)
-        v[k] = 1.0
-        for _ in range(2):  # re-orthogonalize once for numerical hygiene
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-7:
-            v = v / nrm
-            u[:, next(fill)] = v
-            basis.append(v)
-    if len(basis) != dm:
-        raise InvalidPOVM("failed to complete the isometry to a unitary")
+    u[:, np.arange(dm) % m != 0] = np.linalg.qr(w, mode="complete")[0][:, d:]
     linalg.require_unitary(u)
 
     projs = []

@@ -39,15 +39,14 @@ TOL_ROOT = 1e-10
 _BRACKET_SAMPLES = 64
 
 
-def _require_density(m: np.ndarray, tol_herm: float = linalg.TOL_HERM,
-                     tol_psd: float = linalg.TOL_PSD) -> None:
+def _require_density(m: np.ndarray) -> None:
     """The density-matrix invariants on each matrix of a (..., d, d) stack:
-    Hermitian within tol_herm, lowest eigenvalue >= -tol_psd, trace 1 within
+    Hermitian within TOL_HERM, lowest eigenvalue >= -TOL_PSD, trace 1 within
     1e-10."""
-    linalg.require_hermitian(m, tol_herm)
+    linalg.require_hermitian(m)
     low = np.linalg.eigvalsh(m)[..., 0].min()
-    if low < -tol_psd:
-        raise NotPSD(f"density eigenvalue {low:.3e} below -{tol_psd:.1e}")
+    if low < -linalg.TOL_PSD:
+        raise NotPSD(f"density eigenvalue {low:.3e} below -{linalg.TOL_PSD:.1e}")
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
     if off.max() > 1e-10:
@@ -67,10 +66,9 @@ class DensityMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, *, tol_herm: float = linalg.TOL_HERM,
-                 tol_psd: float = linalg.TOL_PSD):
+    def __init__(self, matrix):
         a = linalg.as_matrix(matrix)
-        _require_density(a, tol_herm, tol_psd)
+        _require_density(a)
         self.matrix = a
 
     @property
@@ -139,37 +137,52 @@ def _check_same_dim(chi: DensityMatrix, omega: DensityMatrix) -> int:
     return chi.dim
 
 
-_EQUAL_TOL = 1e-12
+# u = 1 - sqrt(F) at or below this reads 0. Exact copies at total dimension
+# <= 64 (perfect cloners on random states, identical density pairs) read
+# u <= 1.5e-25, and a state off by sin(delta) = sqrt(2 u) = 1.4e-12, 1e-4 of
+# SOUNDNESS_TOL, reads u = 1e-24. Copies of states with eigenvalues near
+# 1e-8 read more, up to ~1e-15: the polar factor is undetermined there.
+COPY_TOL = 1e-24
 
 
-def _same_state(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Equal within 1e-12 relative Frobenius distance, per pair of two
-    (..., d, d) stacks."""
-    return (linalg._frobenius(m1 - m2)
-            <= _EQUAL_TOL * np.maximum(1.0, linalg._frobenius(m1)))
+def _bures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """u = 1 - sqrt(F(A A^dagger, B B^dagger)) per pair of two factor stacks
+    (..., n, ka) and (..., n, kb), unvalidated: A A^dagger and B B^dagger of
+    unit trace.
+
+    u = 1/2 ||A - B W||_F^2 with W the polar factor of B^dagger A, taken with
+    the wider factor as A, so ||B^dagger A||_1 = sqrt(F) (Uhlmann). The form
+    is a sum of squares, so u keeps its relative precision as F -> 1, where
+    1 - F from F loses half the digits of sqrt(1 - F). u clamps to 1, and
+    u <= COPY_TOL reads 0, the one rule by which two states count as equal.
+    """
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    p, _, qh = np.linalg.svd(linalg._dagger(b) @ a, full_matrices=False)
+    diff = a - b @ (p @ qh)
+    u = 0.5 * np.einsum("...ij,...ij->...", diff.conj(), diff).real
+    return np.minimum(u, 1.0) * (u > COPY_TOL)
+
+
+def _sine(u):
+    """sin(delta) for cos(delta) = 1 - u."""
+    return np.sqrt(u * (2.0 - u))
+
+
+def _angle(u):
+    """delta = arccos(1 - u) as 2 arcsin(sqrt(u / 2)), which has no cancellation."""
+    return 2.0 * np.arcsin(np.sqrt(u / 2.0))
 
 
 def _fidelity_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Fidelity of each pair of two (..., d, d) density stacks, unvalidated.
-
-    (sum of singular values of sqrt(m1) sqrt(m2))^2, the stable evaluation
-    of the closed form (Tr sqrt(sqrt(m1) m2 sqrt(m1)))^2, clamped to [0, 1].
-    Pairs equal within tolerance give exactly 1: the singular-value route can
-    only resolve 1 - F down to ~1e-15, and sqrt(1 - F) in angle computations
-    would amplify that noise to ~3e-8.
-    """
-    same = _same_state(m1, m2)
-    if same.all():  # every pair an exact copy: skip the roots
-        return np.ones(same.shape)
-    prod = linalg._psd_root(m1)[0] @ linalg._psd_root(m2)[0]
-    s = np.linalg.svd(prod, compute_uv=False)
-    f = np.clip(np.sum(s, axis=-1) ** 2, 0.0, 1.0)
-    return np.where(same, 1.0, f)
+    """Fidelity (1 - u)^2 of each pair of two (..., d, d) density stacks,
+    unvalidated, with u from _bures on the PSD factors."""
+    return (1.0 - _bures(linalg._root_factor(m1), linalg._root_factor(m2))) ** 2
 
 
 def _angle_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Angle arccos(sqrt(F)) of each pair of two (..., d, d) density stacks."""
-    return np.arccos(np.sqrt(_fidelity_stack(m1, m2)))
+    return _angle(_bures(linalg._root_factor(m1), linalg._root_factor(m2)))
 
 
 def _angle_pure_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -179,10 +192,10 @@ def _angle_pure_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def fidelity(chi: DensityMatrix, omega: DensityMatrix) -> float:
-    """Fidelity between two density matrices, clamped to [0, 1].
+    """Fidelity between two density matrices, in [0, 1].
 
-    Equal inputs (within 1e-12 relative Frobenius distance) return exactly
-    1.0, so the derived angle is exactly zero.
+    Equal inputs (u <= COPY_TOL, see _bures) return exactly 1.0, so the
+    derived angle is exactly zero.
     """
     _check_same_dim(chi, omega)
     return float(_fidelity_stack(chi.matrix, omega.matrix))
@@ -289,9 +302,9 @@ def _path_profile(t, d: int):
     return np.abs(np.exp(1j * s).sum(axis=-1)) / d
 
 
-def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix, phi: float,
-                           *, tol_root: float = TOL_ROOT) -> OverlapUnitaryResult:
-    """A unitary whose overlap equals ``phi`` within tol_root.
+def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
+                           phi: float) -> OverlapUnitaryResult:
+    """A unitary whose overlap equals ``phi`` within TOL_ROOT.
 
     Walks the path V(t) = V0 * (V0^dagger Vmax)^t from the zero-overlap
     unitary (t=0) to the maximal one (t=1). A sign bracket of g(t) - phi is
@@ -318,13 +331,13 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix, phi: float,
         raise DimTooSmall("dimension 1 admits only overlap 1")
     target = float(phi)
     roots = _roots(rho1, rho2)
-    res = _walk_to_overlap(*roots, target, tol_root)
+    res = _walk_to_overlap(*roots, target)
     res._roots = roots
     return res
 
 
-def _walk_to_overlap(a: np.ndarray, b: np.ndarray, target: float,
-                     tol_root: float) -> OverlapUnitaryResult:
+def _walk_to_overlap(a: np.ndarray, b: np.ndarray,
+                     target: float) -> OverlapUnitaryResult:
     """target_overlap_unitary on the square roots a = sqrt(rho1), b = sqrt(rho2)."""
     d = a.shape[0]
     m, p, s, qh = _overlap_svd(a, b)
@@ -336,9 +349,9 @@ def _walk_to_overlap(a: np.ndarray, b: np.ndarray, target: float,
 
     v_max = qh.conj().T @ p.conj().T
     v_zero = qh.conj().T @ _cyclic_shift(d) @ p.conj().T
-    if target <= tol_root:
+    if target <= TOL_ROOT:
         return OverlapUnitaryResult(v_zero, float(abs(np.trace(m @ v_zero))), 0.0)
-    if target >= sqrt_f - tol_root:
+    if target >= sqrt_f - TOL_ROOT:
         return OverlapUnitaryResult(v_max, float(abs(np.trace(m @ v_max))), 1.0)
 
     ts = np.linspace(0.0, 1.0, _BRACKET_SAMPLES)
@@ -355,7 +368,7 @@ def _walk_to_overlap(a: np.ndarray, b: np.ndarray, target: float,
         mid = 0.5 * (lo + hi)
         w = 1j * (mid - 1.0)
         g_mid = sum_s * abs(sum(cmath.exp(w * x) for x in phases)) / d
-        if abs(g_mid - target) <= tol_root:
+        if abs(g_mid - target) <= TOL_ROOT:
             break
         if (g_lo - target) * (g_mid - target) <= 0.0:
             hi = mid

@@ -307,9 +307,52 @@ def test_soundness_guard_fires_on_a_faulty_channel(monkeypatch):
     assert lower_bound(math.sqrt(fidelity(rho1, rho2)), 1.0) > 0.2
     assert apply_cloning(setup).relative_error > 0.1
     monkeypatch.setattr(cloning._Channel, "_factors",
-                        lambda self, v: list(self.ideal_factors))
+                        lambda self, v: self.ideal_factors)
     with pytest.raises(SoundnessViolation):
         apply_cloning(setup)
     with pytest.raises(SoundnessViolation):
         minimize_relative_error(rho1, rho2, ups, ups, dims=(1, 2, 1),
                                 cfg=OptimizerConfig(restarts=1, iterations=1))
+
+
+def test_a_near_copy_reads_its_true_sine():
+    # V rotates |00,0> by sqrt(5e-13) into |01,1>, so output 1 is
+    # (1 - 5e-13)|00><00| + 5e-13|01><01| against the ideal |00><00|: within
+    # 1e-12 in Frobenius norm of the ideal, yet sin(delta1) = sqrt(5e-13)
+    ups = _blank(4)
+    s = math.sqrt(5e-13)
+    v = np.eye(8, dtype=complex)
+    v[0, 0] = v[3, 3] = math.sqrt(1.0 - 5e-13)
+    v[3, 0], v[0, 3] = s, -s
+    setup = CloningSetup(_pure(0.0), DensityMatrix(np.eye(2) / 2), ups, ups, v, 1, 2, 2)
+    assert abs(math.sin(apply_cloning(setup).delta1) / s - 1.0) <= 1e-9  # 7.0710678e-7
+
+
+_ANCILLA_KINDS = ("blank", "mixed", "rank_deficient")
+
+
+def _ancilla(rng, kind: str, dim: int) -> DensityMatrix:
+    if kind == "blank":
+        return _blank(dim)
+    rank = dim if kind == "mixed" else max(1, dim // 2)
+    return DensityMatrix(oracles.random_density(rng, dim, rank))
+
+
+@pytest.mark.parametrize("kind", _ANCILLA_KINDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_channel_angles_agree_with_the_state_angle(d, kind):
+    rng = np.random.default_rng([d, _ANCILLA_KINDS.index(kind)])
+    for _ in range(4):
+        rho1 = DensityMatrix(oracles.random_density(rng, d, int(rng.integers(1, d + 1))))
+        rho2 = DensityMatrix(oracles.random_density(rng, d, d))
+        env = int(rng.integers(1, 3))
+        setup = CloningSetup(rho1, rho2, _ancilla(rng, kind, d * env),
+                             _ancilla(rng, kind, d * env),
+                             oracles.haar_unitary(rng, d * d * env), 1, 2, env)
+        ideals = [tensor_power(rho, 2) for rho in (rho1, rho2)]
+        want = angle(*ideals)
+        assert abs(cloning._Channel(setup).ideal_angle - want) <= 1e-13
+        out = apply_cloning(setup)
+        for delta, o, ideal in ((out.delta1, out.out1, ideals[0]),
+                                (out.delta2, out.out2, ideals[1])):
+            assert abs(delta - angle(o, ideal)) <= 1e-13

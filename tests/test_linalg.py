@@ -1,3 +1,6 @@
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
@@ -176,3 +179,21 @@ def test_unitary_power_deterministic_on_degenerate_spectrum():
     b = linalg.unitary_power(u, 0.5)
     assert np.array_equal(a, b)
     assert np.linalg.norm(a @ a - u) < 1e-12
+
+
+def test_no_public_callable_takes_a_tolerance_override():
+    # tolerances are module constants; only the search's convergence_tol,
+    # a run setting, stays configurable
+    names = {"tol", "tol_herm", "tol_psd", "tol_root"}
+    for mod in ("cli", "cloning", "linalg", "measure", "search", "serialize", "states"):
+        module = importlib.import_module(f"clonebound.{mod}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            params = set(inspect.signature(obj).parameters)
+            if inspect.isclass(obj):
+                for meth in vars(obj).values():
+                    if inspect.isfunction(meth):
+                        params |= set(inspect.signature(meth).parameters)
+            assert not params & names, (mod, name, params & names)

@@ -294,7 +294,8 @@ def test_random_density_properties():
 
 
 def _check_stack_kernels(seed: int, d: int, n: int) -> None:
-    """Stack root and stack fidelity against per-call sqrt_psd and fidelity.
+    """Stack factor, Bures kernel and stack fidelity against the per-call
+    factor and fidelity.
 
     Pairs mix random ranks (rank-deficient included) with identical pairs.
     """
@@ -305,18 +306,20 @@ def _check_stack_kernels(seed: int, d: int, n: int) -> None:
 
     a = np.stack([draw() for _ in range(n)])
     b = np.stack([a[k].copy() if k % 3 == 0 else draw() for k in range(n)])
-    roots = linalg._psd_root(a)[0]
+    factors = linalg._root_factor(a)
+    us = states._bures(factors, linalg._root_factor(b))
     fids = states._fidelity_stack(a, b)
     for k in range(n):
-        one_root = linalg._psd_root(a[k:k + 1])[0][0]
+        one_factor = linalg._root_factor(a[k:k + 1])[0]
         one_fid = states._fidelity_stack(a[k:k + 1], b[k:k + 1])[0]
-        assert np.array_equal(one_root, linalg.sqrt_psd(a[k]))
+        assert np.array_equal(one_factor[:, one_factor.any(axis=0)],
+                              linalg._psd_factor(a[k]))
         assert one_fid == fidelity(DensityMatrix(a[k]), DensityMatrix(b[k]))
-        assert np.max(np.abs(roots[k] - one_root)) <= 1e-14
+        assert np.max(np.abs(factors[k] - one_factor)) <= 1e-14
         assert abs(fids[k] - one_fid) <= 1e-14
         if k % 3 == 0:
             assert fids[k] == 1.0
-    assert np.array_equal(states._angle_stack(a, b), np.arccos(np.sqrt(fids)))
+    assert np.array_equal(states._angle_stack(a, b), 2.0 * np.arcsin(np.sqrt(us / 2.0)))
 
 
 def test_stack_kernels_agree_with_per_call_fixed_seeds():
