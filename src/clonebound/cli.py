@@ -166,7 +166,7 @@ def cmd_purify(args) -> int:
         "y1": y1.to_dict(),
         "y2": y2.to_dict(),
     }
-    _write(json.dumps(out_doc, indent=2), args.out)
+    _write(json.dumps(out_doc), args.out)
     return 0
 
 

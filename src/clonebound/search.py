@@ -1,11 +1,14 @@
 """Unitary search for low-error cloners, randomized inequality checks, sweeps.
 
-The optimizer is deliberately gradient-free: unitaries are parameterized as
-exp(i H) with H Hermitian built from d^2 real parameters, and refined by
-random-coordinate perturbations with a decaying step, keeping a move only
-when it lowers the relative error. Every single evaluation is compared
-against the closed-form lower bound; dipping below it raises instead of
-reporting, because the bound is a theorem.
+The optimizer is deliberately gradient-free: a walk on the unitary group
+by Givens rotations (coordinate descent on U(n)). A move applies
+exp(i t E_k) to the current unitary V, with E_k one of the n^2 Hermitian
+coordinate generators, so it changes one row (a phase) or two rows (a real
+or imaginary 2 x 2 rotation) of V; the walk keeps a move only when it
+lowers the relative error, and decays the step after a run of failed moves.
+No candidate costs an eigendecomposition or an n x n product. Every single
+evaluation is compared against the closed-form lower bound; dipping below
+it raises instead of reporting, because the bound is a theorem.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .cloning import SOUNDNESS_TOL, CloningSetup, _Channel, lower_bound
 from .errors import BudgetZero, OutOfRange, SoundnessViolation
-from .linalg import _dagger
+from .linalg import _dagger, _root_factor
 from .measure import (
     POVM,
     _normalized_povm,
@@ -32,11 +35,14 @@ from .serialize import matrix_to_entries
 from .states import (
     DensityMatrix,
     PureState,
+    _angle,
     _angle_pure_stack,
     _angle_stack,
+    _bures,
     _density_from_factor,
-    _fidelity_stack,
+    _fidelity,
     _ginibre,
+    _haar,
     _require_density,
     _require_unit,
     fidelity,  # noqa: F401  (search.fidelity stays importable)
@@ -51,7 +57,13 @@ def _fmt17(x: float) -> str:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Budget and seeding for the unitary search."""
+    """Budget and seeding for the unitary search.
+
+    ``initial_step`` is the first rotation angle of a move, in radians;
+    ``step_decay`` multiplies the angle after a run of failed moves, and the
+    walk of a restart stops once the angle falls below ``convergence_tol``.
+    Each restart takes at most ``iterations`` moves.
+    """
 
     restarts: int = 4
     iterations: int = 500
@@ -116,14 +128,31 @@ class SearchResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict())
 
 
-def _hermitian_from(params: np.ndarray, dim: int, iu) -> np.ndarray:
-    n_off = dim * (dim - 1) // 2
-    off = np.zeros((dim, dim), dtype=complex)
-    off[iu] = params[dim:dim + n_off] + 1j * params[dim + n_off:]
-    return off + off.conj().T + np.diag(params[:dim].astype(complex))
+def _rotate(v: np.ndarray, k: int, angle: float, pairs) -> np.ndarray:
+    """exp(i angle E_k) v for the k-th of the n^2 Hermitian coordinate
+    generators of n x n matrices, as a new array; ``pairs`` is
+    np.triu_indices(n, 1).
+
+    k < n: E_k = |k><k|, a phase on row k. The next n(n-1)/2 generators are
+    |a><b| + |b><a| and the last n(n-1)/2 are i|a><b| - i|b><a|, for the
+    pairs (a, b) in order, each a 2 x 2 rotation of rows a and b.
+    """
+    out = v.copy()
+    n = v.shape[0]
+    if k < n:
+        out[k] *= np.exp(1j * angle)
+        return out
+    imag, j = divmod(k - n, len(pairs[0]))
+    a, b = pairs[0][j], pairs[1][j]
+    c, s = np.cos(angle), np.sin(angle)
+    if imag:
+        out[a], out[b] = c * v[a] - s * v[b], s * v[a] + c * v[b]
+    else:
+        out[a], out[b] = c * v[a] + 1j * s * v[b], 1j * s * v[a] + c * v[b]
+    return out
 
 
 def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -133,9 +162,11 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
     """Search the joint unitary group for the lowest relative error.
 
     ``dims`` is (n_in, n_out, env_dim); a None env_dim is inferred from the
-    ancilla dimension. Restart r draws its generator from (seed, r), so runs
-    are reproducible and restarts could run in any order; the winner is the
-    strictly smallest best value with ties going to the earlier restart.
+    ancilla dimension. Restart 0 starts at the identity and restart r > 0 at
+    a Haar unitary; restart r draws its start and its moves from (seed, r),
+    so runs are reproducible and restarts could run in any order. The winner
+    is the strictly smallest best value with ties going to the earlier
+    restart, and its ``best_v`` is the very array that was evaluated.
     """
     cfg = cfg or OptimizerConfig()
     n_in, n_out, env_dim = dims
@@ -155,25 +186,18 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                                       np.eye(total, dtype=complex),
                                       n_in, n_out, env_dim))
     n_params = total * total
-    iu = np.triu_indices(total, 1)
-
-    def unitary_of(params: np.ndarray) -> np.ndarray:
-        w, u = np.linalg.eigh(_hermitian_from(params, total, iu))
-        return (u * np.exp(1j * w)) @ u.conj().T
+    pairs = np.triu_indices(total, 1)
 
     best_r = None
-    best_params = None
+    best_v = None
     traces: list[list[float]] = []
     evaluations = 0
     fail_limit = max(8, n_params // 8)
 
     for ridx in range(int(cfg.restarts)):
         rng = np.random.default_rng([int(cfg.seed), ridx])
-        if ridx == 0:
-            params = np.zeros(n_params)  # identity start
-        else:
-            params = rng.uniform(-np.pi, np.pi, n_params)
-        cur = objective(unitary_of(params))
+        v = np.eye(total, dtype=complex) if ridx == 0 else _haar(rng, (total, total))
+        cur = objective(v)
         evaluations += 1
         trace = [cur]
         step = float(cfg.initial_step)
@@ -183,12 +207,11 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                 break
             k = int(rng.integers(n_params))
             sign = -1.0 if rng.random() < 0.5 else 1.0
-            cand = params.copy()
-            cand[k] += sign * step
-            r = objective(unitary_of(cand))
+            cand = _rotate(v, k, sign * step, pairs)
+            r = objective(cand)
             evaluations += 1
             if r < cur:
-                params, cur = cand, r
+                v, cur = cand, r
                 fails = 0
             else:
                 fails += 1
@@ -198,14 +221,14 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
             trace.append(cur)
         traces.append(trace)
         if best_r is None or cur < best_r:
-            best_r, best_params = cur, params
+            best_r, best_v = cur, v
 
     if best_r < objective.bound - SOUNDNESS_TOL:
         raise SoundnessViolation(
             f"best relative error {best_r} below bound {objective.bound}"
         )
     return SearchResult(
-        best_v=unitary_of(best_params),
+        best_v=best_v,
         best_r=best_r,
         bound=objective.bound,
         gap=best_r - objective.bound,
@@ -310,7 +333,7 @@ class VerificationReport:
         return report
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict())
 
     def to_csv(self) -> str:
         lines = ["d,seed,slack,inequality,trials,violations,max_margin"]
@@ -347,18 +370,23 @@ def _density_docs(i: int, **stacks) -> dict:
     return {name: DensityMatrix(m[i]).to_dict() for name, m in stacks.items()}
 
 
-def _triangle(rng, d, n):
+def _triple(rng, d, n):
+    """Three density stacks and u = 1 - sqrt(F) of the pairs (chi, omega),
+    (chi, rho) and (omega, rho), each stack factored once."""
     chi, omega, rho = (_densities(rng, d, n) for _ in range(3))
-    margins = (_angle_stack(chi, omega)
-               - (_angle_stack(chi, rho) + _angle_stack(omega, rho)))
-    return margins, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
+    k_chi, k_omega, k_rho = (_root_factor(m) for m in (chi, omega, rho))
+    us = _bures(k_chi, k_omega), _bures(k_chi, k_rho), _bures(k_omega, k_rho)
+    return us, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
+
+
+def _triangle(rng, d, n):
+    (u_co, u_cr, u_or), describe = _triple(rng, d, n)
+    return _angle(u_co) - (_angle(u_cr) + _angle(u_or)), describe
 
 
 def _fidelity_difference(rng, d, n):
-    chi, omega, rho = (_densities(rng, d, n) for _ in range(3))
-    margins = (np.abs(_fidelity_stack(chi, rho) - _fidelity_stack(omega, rho))
-               - np.sin(_angle_stack(chi, omega)))
-    return margins, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
+    (u_co, u_cr, u_or), describe = _triple(rng, d, n)
+    return np.abs(_fidelity(u_cr) - _fidelity(u_or)) - np.sin(_angle(u_co)), describe
 
 
 _MAX_OUTCOMES = 5
@@ -382,9 +410,7 @@ def _probability_deviation(rng, d, n):
 
 def _projector_gap(rng, d, n):
     x, y = _unit_vectors(rng, d, n), _unit_vectors(rng, d, n)
-    q, r = np.linalg.qr(_ginibre(rng, (n, d, d)))
-    rd = np.diagonal(r, axis1=-2, axis2=-1)
-    basis = q * (rd / np.abs(rd))[:, None, :]  # Haar unitaries
+    basis = _haar(rng, (n, d, d))
     ranks = rng.integers(1, d + 1, size=n)
     proj = (basis * (np.arange(d) < ranks[:, None])[:, None, :]) @ _dagger(basis)
     _require_projector(proj)
@@ -487,4 +513,4 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
 
 
 def sweep_to_json(rows: list[SweepRow]) -> str:
-    return json.dumps([vars(r) for r in rows], indent=2)
+    return json.dumps([vars(r) for r in rows])

@@ -174,10 +174,15 @@ def _angle(u):
     return 2.0 * np.arcsin(np.sqrt(u / 2.0))
 
 
+def _fidelity(u):
+    """F = (1 - u)^2 for u = 1 - sqrt(F)."""
+    return (1.0 - u) ** 2
+
+
 def _fidelity_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Fidelity (1 - u)^2 of each pair of two (..., d, d) density stacks,
-    unvalidated, with u from _bures on the PSD factors."""
-    return (1.0 - _bures(linalg._root_factor(m1), linalg._root_factor(m2))) ** 2
+    """Fidelity of each pair of two (..., d, d) density stacks, unvalidated,
+    with u from _bures on the PSD factors."""
+    return _fidelity(_bures(linalg._root_factor(m1), linalg._root_factor(m2)))
 
 
 def _angle_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -396,6 +401,14 @@ def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
 
 def _ginibre(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _haar(rng: np.random.Generator, shape) -> np.ndarray:
+    """Haar-random unitaries of shape (..., d, d): the QR of a Ginibre stack,
+    with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(_ginibre(rng, shape))
+    rd = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (rd / np.abs(rd))[..., None, :]
 
 
 def _density_from_factor(g: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from clonebound.states import (
 import oracles
 from clonebound import measure, search, serialize, states
 from clonebound.cli import main
-from clonebound.states import _fidelity_stack
+from clonebound.states import _bures
 
 
 def _pure(theta: float) -> DensityMatrix:
@@ -123,6 +123,65 @@ def test_env_dim_inferred_from_ancilla():
     bad = DensityMatrix(oracles.random_density(rng, 5, 1))  # 5 not divisible by 2
     with pytest.raises(OutOfRange):
         minimize_relative_error(rho1, rho2, bad, bad, dims=(1, 2, None), cfg=cfg)
+
+
+def _generator(n: int, k: int) -> np.ndarray:
+    """E_k, the k-th Hermitian coordinate generator: |k><k| for k < n, then
+    |a><b| + |b><a| and then i|a><b| - i|b><a| over the pairs a < b."""
+    a, b = np.triu_indices(n, 1)
+    m = len(a)
+    e = np.zeros((n, n), dtype=complex)
+    if k < n:
+        e[k, k] = 1.0
+    elif k < n + m:
+        e[a[k - n], b[k - n]] = e[b[k - n], a[k - n]] = 1.0
+    else:
+        e[a[k - n - m], b[k - n - m]], e[b[k - n - m], a[k - n - m]] = 1j, -1j
+    return e
+
+
+@pytest.mark.parametrize("n, ks", [(4, range(16)), (16, range(0, 256, 7))])
+def test_a_move_is_the_exponential_of_its_generator(n, ks):
+    v = oracles.haar_unitary(np.random.default_rng(n), n)
+    before = v.copy()
+    pairs = np.triu_indices(n, 1)
+    for k in ks:
+        for angle in (0.5, -0.05, 2.9):
+            want = oracles.expm_scipy(angle * _generator(n, k)) @ v
+            got = search._rotate(v, k, angle, pairs)
+            assert np.max(np.abs(got - want)) <= 1e-14, (n, k, angle)
+    assert np.array_equal(v, before)  # a move returns a new array
+
+
+def test_a_candidate_costs_no_eigendecomposition(monkeypatch):
+    # eigh runs only while the channel is built, however long the walk
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rho1, rho2 = _random_pair(131)
+    blank8 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    counts = []
+    for iterations in (10, 300):
+        calls.clear()
+        cfg = OptimizerConfig(restarts=2, iterations=iterations, seed=1)
+        res = minimize_relative_error(rho1, rho2, blank8, blank8, dims=(1, 2, 4), cfg=cfg)
+        assert res.evaluations == 2 * (iterations + 1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_best_v_stays_unitary_over_a_long_walk():
+    rho1, rho2 = _random_pair(137)
+    blank8 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
+    cfg = OptimizerConfig(restarts=3, iterations=1500, seed=2)
+    res = minimize_relative_error(rho1, rho2, blank8, blank8, dims=(1, 2, 4), cfg=cfg)
+    assert res.best_v.shape == (16, 16)
+    assert np.max(np.abs(res.best_v.conj().T @ res.best_v - np.eye(16))) <= 1e-12
 
 
 def test_search_result_serializes():
@@ -237,12 +296,12 @@ def test_verify_inequalities_deterministic():
 def test_verify_counts_a_nan_margin_as_a_violation(monkeypatch, capsys):
     # NaN > SLACK is False, so a comparison the other way round would let
     # broken arithmetic read as "0 violations"
-    def nan_at_trial_3(m1, m2):
-        f = _fidelity_stack(m1, m2)
-        f[3] = np.nan
-        return f
+    def nan_at_trial_3(a, b):
+        u = _bures(a, b)
+        u[3] = np.nan
+        return u
 
-    monkeypatch.setattr(search, "_fidelity_stack", nan_at_trial_3)
+    monkeypatch.setattr(search, "_bures", nan_at_trial_3)
     report = verify_inequalities(2, 20, seed=1)
     check = next(c for c in report.checks if c.name == "fidelity_difference")
     assert check.violations >= 1
