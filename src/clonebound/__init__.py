@@ -46,7 +46,6 @@ from .linalg import (
     kron,
     partial_trace,
     sqrt_psd,
-    unitary_exp,
     unitary_power,
 )
 from .measure import (

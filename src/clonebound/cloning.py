@@ -242,10 +242,11 @@ class _Channel:
     and the ideal factors B_i, each pair as one stack, so that one product
     V K and one states._bures call serve both inputs; f, phi, the bound and
     the angle between the ideal outputs, whose sine is the relative error's
-    denominator, all from states._bures on the small factors. No n x n matrix
-    is formed. ``evaluate`` is the one unvalidated evaluation path: the
-    search and proof_chain_check call it directly, and apply_cloning wraps
-    its outputs as validated states.
+    denominator, all from states._bures on the small factors; and
+    ``support``, the rows of the joint input space where K_1 or K_2 has a
+    nonzero entry. No n x n matrix is formed. ``evaluate`` is the one
+    unvalidated evaluation path: the search and proof_chain_check call it
+    directly, and apply_cloning wraps its outputs as validated states.
     """
 
     def __init__(self, setup: CloningSetup):
@@ -259,6 +260,9 @@ class _Channel:
         self.ideal_factors = _side_by_side(ideals)
         self.inputs = _side_by_side([np.kron(_kron_power(k, s.n_in), y)
                                      for k, y in zip(factors, ancillas)])
+        # the joint-input rows where K_1 or K_2 is nonzero: a row of V that is
+        # zero on them leaves its row of V K zero, whatever else it holds
+        self.support = np.flatnonzero(self.inputs.any(axis=(0, 2)))
 
     def _factors(self, v: np.ndarray) -> np.ndarray:
         """Output factors A_i = (V K_i).reshape(o, e * k) of both inputs, as

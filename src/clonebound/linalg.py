@@ -165,12 +165,6 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def unitary_exp(h) -> np.ndarray:
-    """exp(i*h) for Hermitian h, via the eigendecomposition."""
-    w, u = hermitian_eig(h)
-    return (u * np.exp(1j * w)) @ u.conj().T
-
-
 def unitary_power(u, t: float) -> np.ndarray:
     """Fractional power of a unitary along its eigenphases.
 

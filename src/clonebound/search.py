@@ -6,9 +6,13 @@ exp(i t E_k) to the current unitary V, with E_k one of the n^2 Hermitian
 coordinate generators, so it changes one row (a phase) or two rows (a real
 or imaginary 2 x 2 rotation) of V; the walk keeps a move only when it
 lowers the relative error, and decays the step after a run of failed moves.
-No candidate costs an eigendecomposition or an n x n product. Every single
-evaluation is compared against the closed-form lower bound; dipping below
-it raises instead of reporting, because the bound is a theorem.
+No candidate costs an eigendecomposition or an n x n product. A move whose
+rows of V are all zero on the input support (rows that carry no input, as
+most do at the identity start with a blank ancilla) leaves V K and so the
+value exactly unchanged: it is scored at the current value and rejected,
+with no copy of V and no channel evaluation. Every evaluation the channel
+makes is compared against the closed-form lower bound; dipping below it
+raises instead of reporting, because the bound is a theorem.
 """
 
 from __future__ import annotations
@@ -93,7 +97,12 @@ class OptimizerConfig:
 
 @dataclass
 class SearchResult:
-    """Best unitary found, its relative error, and the bound it must respect."""
+    """Best unitary found, its relative error, and the bound it must respect.
+
+    ``evaluations`` counts scored points, one per start and one per move;
+    a move on rows of V that carry no input is scored at the current value
+    without a channel evaluation.
+    """
 
     best_v: np.ndarray
     best_r: float
@@ -187,6 +196,11 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                                       n_in, n_out, env_dim))
     n_params = total * total
     pairs = np.triu_indices(total, 1)
+    # the rows move k rotates, in _rotate's order: row k for a phase (a = b),
+    # then each pair (a, b) twice, for the real and the imaginary rotation
+    rows_a = np.concatenate([np.arange(total), pairs[0], pairs[0]]).tolist()
+    rows_b = np.concatenate([np.arange(total), pairs[1], pairs[1]]).tolist()
+    support = objective.support
 
     best_r = None
     best_v = None
@@ -200,6 +214,8 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
         cur = objective(v)
         evaluations += 1
         trace = [cur]
+        # live[j]: row j of V is nonzero on the input support
+        live = v[:, support].any(axis=1).tolist()
         step = float(cfg.initial_step)
         fails = 0
         for _ in range(int(cfg.iterations)):
@@ -207,11 +223,17 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                 break
             k = int(rng.integers(n_params))
             sign = -1.0 if rng.random() < 0.5 else 1.0
-            cand = _rotate(v, k, sign * step, pairs)
-            r = objective(cand)
+            a, b = rows_a[k], rows_b[k]
+            if live[a] or live[b]:
+                cand = _rotate(v, k, sign * step, pairs)
+                r = objective(cand)
+            else:
+                # both rows stay exactly zero on the support, so V K is unchanged
+                r = cur
             evaluations += 1
             if r < cur:
                 v, cur = cand, r
+                live[a], live[b] = (bool(v[j, support].any()) for j in (a, b))
                 fails = 0
             else:
                 fails += 1

@@ -131,14 +131,6 @@ def test_partial_trace_validates():
         linalg.partial_trace(np.eye(4), [2, 2], {0, 5})
 
 
-def test_unitary_exp_matches_scipy():
-    rng = np.random.default_rng(13)
-    for d in (2, 4):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = g + g.conj().T
-        assert np.linalg.norm(linalg.unitary_exp(h) - oracles.expm_scipy(h)) < 1e-11
-
-
 def test_unitary_power_endpoints():
     rng = np.random.default_rng(17)
     u = oracles.haar_unitary(rng, 4)

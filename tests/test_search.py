@@ -24,7 +24,7 @@ from clonebound.states import (
 )
 
 import oracles
-from clonebound import measure, search, serialize, states
+from clonebound import cloning, measure, search, serialize, states
 from clonebound.cli import main
 from clonebound.states import _bures
 
@@ -182,6 +182,105 @@ def test_best_v_stays_unitary_over_a_long_walk():
     res = minimize_relative_error(rho1, rho2, blank8, blank8, dims=(1, 2, 4), cfg=cfg)
     assert res.best_v.shape == (16, 16)
     assert np.max(np.abs(res.best_v.conj().T @ res.best_v - np.eye(16))) <= 1e-12
+
+
+def _blank(dim: int) -> DensityMatrix:
+    return DensityMatrix(np.diag(np.eye(dim)[0]).astype(complex))
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """Record every channel evaluation; the list grows by one per call."""
+    calls = []
+    evaluate = cloning._Channel.evaluate
+
+    def counting(self, v):
+        calls.append(v.shape)
+        return evaluate(self, v)
+
+    monkeypatch.setattr(cloning._Channel, "evaluate", counting)
+    return calls
+
+
+def _blank_search(d: int, env: int, n_out: int = 2):
+    rng = np.random.default_rng(10 * d + env)
+    rho1 = DensityMatrix(oracles.random_density(rng, d, 1))
+    rho2 = DensityMatrix(oracles.random_density(rng, d, d))
+    ups = _blank(d ** (n_out - 1) * env)
+    return lambda cfg: minimize_relative_error(rho1, rho2, ups, ups,
+                                               dims=(1, n_out, env), cfg=cfg)
+
+
+def _mixed_search(cfg):
+    rho1, rho2 = _random_pair(139)
+    rng = np.random.default_rng(139)
+    ups1, ups2 = (DensityMatrix(oracles.random_density(rng, 8, 8)) for _ in range(2))
+    return minimize_relative_error(rho1, rho2, ups1, ups2, dims=(1, 2, 4), cfg=cfg)
+
+
+# (search, whether a move on rows that carry no input can be drawn)
+_SKIP_PROBLEMS = {
+    "blank-d2e16": (_blank_search(2, 16), True),
+    "blank-d4e4": (_blank_search(4, 4), True),
+    "restricted-pure": (lambda cfg: restricted_cloner_search(_pure(0.0), _pure(0.7), cfg),
+                        True),
+    "blank-1to3": (_blank_search(2, 2, n_out=3), True),
+    "mixed": (_mixed_search, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SKIP_PROBLEMS))
+def test_skipping_dead_moves_changes_no_output(monkeypatch, name):
+    # with every row declared input support no move is skipped, so the
+    # search must write the same bytes either way
+    search_of, skips = _SKIP_PROBLEMS[name]
+    cfg = OptimizerConfig(restarts=2, iterations=150, seed=4)
+    calls = _count_evaluations(monkeypatch)
+    skipping = search_of(cfg)
+    skipping_calls = len(calls)
+    init = cloning._Channel.__init__
+
+    def every_row_is_support(self, setup):
+        init(self, setup)
+        self.support = np.arange(self.inputs.shape[1])
+
+    monkeypatch.setattr(cloning._Channel, "__init__", every_row_is_support)
+    calls.clear()
+    full = search_of(cfg)
+    assert skipping.to_json() == full.to_json()
+    assert len(calls) == full.evaluations
+    assert (skipping_calls < full.evaluations) == skips
+
+
+def test_dead_moves_cost_no_channel_evaluation(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    cfg = OptimizerConfig(restarts=1, iterations=60, seed=0)
+    res = _blank_search(2, 16)(cfg)  # n = 64, two rows carry input
+    assert res.evaluations == 61
+    assert len(calls) <= 0.25 * res.evaluations
+    calls.clear()
+    res = _mixed_search(cfg)  # a full-rank ancilla: every row carries input
+    assert len(calls) == res.evaluations == 61
+
+
+def test_a_move_on_dead_rows_leaves_the_channel_unchanged():
+    rng = np.random.default_rng(149)
+    rho1, rho2 = (DensityMatrix(oracles.random_density(rng, 2, 2)) for _ in range(2))
+    ups = _blank(8)
+    n = 16
+    v = np.eye(n, dtype=complex)
+    channel = cloning._Channel(CloningSetup(rho1, rho2, ups, ups, v, 1, 2, 4))
+    joint = np.kron(rho1.matrix, ups.matrix) + np.kron(rho2.matrix, ups.matrix)
+    assert np.array_equal(channel.support, np.flatnonzero(np.diag(joint)))
+    factors, cur = channel._factors(v), channel(v)
+    pairs = np.triu_indices(n, 1)
+    dead = [k for k in range(n * n)
+            if not np.any(_generator(n, k)[:, channel.support])]
+    assert len(dead) == n - 2 + (n - 2) * (n - 3)  # phases and both rotations
+    for k in dead:
+        for angle in (0.5, -0.05, 2.9):
+            cand = search._rotate(v, k, angle, pairs)
+            assert np.array_equal(channel._factors(cand), factors), (k, angle)
+            assert channel(cand) == cur, (k, angle)
 
 
 def test_search_result_serializes():
