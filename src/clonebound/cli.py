@@ -130,6 +130,15 @@ def _pick(flag_value, doc: dict, key: str, default):
     return doc.get(key, default)
 
 
+def _typed(value, key: str, kind: type):
+    """A config value as ``kind``; an int key refuses a bool or a fractional
+    number instead of truncating it."""
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise OutOfRange(f'config key "{key}" must be an integer, got {value!r}')
+    return kind(value)
+
+
 def _state_from(doc: dict, key: str) -> DensityMatrix:
     if key not in doc:
         raise OutOfRange(f'config is missing the "{key}" state')
@@ -185,16 +194,17 @@ def cmd_optimize(args) -> int:
     rho1 = _state_from(doc, "rho1")
     rho2 = _state_from(doc, "rho2")
     cfg = OptimizerConfig(**{
-        f.name: type(f.default)(_pick(getattr(args, f.name), doc, f.name, f.default))
+        f.name: _typed(_pick(getattr(args, f.name), doc, f.name, f.default), f.name,
+                       type(f.default))
         for f in dataclasses.fields(OptimizerConfig)
     })
     if doc.get("restricted", False):
         result = restricted_cloner_search(rho1, rho2, cfg)
     else:
         d = rho1.dim
-        n_in = int(doc.get("n", 1))
-        n_out = int(doc.get("l", 2))
-        env_dim = int(doc.get("env", d * d))
+        n_in = _typed(doc.get("n", 1), "n", int)
+        n_out = _typed(doc.get("l", 2), "l", int)
+        env_dim = _typed(doc.get("env", d * d), "env", int)
         if "upsilon1" in doc or "upsilon2" in doc:
             ups1 = _state_from(doc, "upsilon1")
             ups2 = _state_from(doc, "upsilon2")
@@ -213,10 +223,10 @@ def cmd_sweep(args) -> int:
     doc = _load_json(args.config) if args.config else {}
     f_min = float(_pick(args.f_min, doc, "f_min", 0.0))
     f_max = float(_pick(args.f_max, doc, "f_max", 0.99))
-    points = int(_pick(args.points, doc, "points", 100))
+    points = _typed(_pick(args.points, doc, "points", 100), "points", int)
     phi = float(_pick(args.phi, doc, "phi", 1.0))
-    n_in = int(_pick(args.n, doc, "n", 1))
-    n_out = int(_pick(args.l, doc, "l", 2))
+    n_in = _typed(_pick(args.n, doc, "n", 1), "n", int)
+    n_out = _typed(_pick(args.l, doc, "l", 2), "l", int)
     if points < 1:
         raise OutOfRange(f"points={points} must be >= 1")
     grid = np.linspace(f_min, f_max, points)

@@ -35,7 +35,7 @@ from .measure import (
     _require_povm,
     _require_projector,
 )
-from .serialize import matrix_to_entries
+from .serialize import _pairs_json, matrix_to_entries
 from .states import (
     DensityMatrix,
     PureState,
@@ -117,7 +117,8 @@ class SearchResult:
     restart_traces: list[list[float]]
     config: OptimizerConfig
 
-    def to_dict(self) -> dict:
+    def _head(self) -> dict:
+        """Every key of the report but ``best_v``, which comes last."""
         return {
             "best_r": self.best_r,
             "bound": self.bound,
@@ -130,14 +131,28 @@ class SearchResult:
             "evaluations": self.evaluations,
             "restart_traces": self.restart_traces,
             "config": self.config.to_dict(),
-            "best_v": {
-                "dim": self.best_v.shape[0],
-                "entries": matrix_to_entries(self.best_v),
-            },
         }
 
+    def to_dict(self) -> dict:
+        return {**self._head(), "best_v": {"dim": self.best_v.shape[0],
+                                           "entries": matrix_to_entries(self.best_v)}}
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """``json.dumps(self.to_dict())``, byte for byte, with the entries of
+        ``best_v`` written as text and not as n^2 nested lists."""
+        return (json.dumps(self._head())[:-1]
+                + f', "best_v": {{"dim": {self.best_v.shape[0]}, "entries": '
+                + _pairs_json(self.best_v) + "}}")
+
+
+def _move_rows(k: int, n: int, pairs) -> tuple[int, int]:
+    """The rows of V that move k rotates: (k, k) for the phase k < n, else
+    the pair (a, b) of its real or imaginary rotation; ``pairs`` is
+    np.triu_indices(n, 1)."""
+    if k < n:
+        return k, k
+    j = (k - n) % len(pairs[0])
+    return pairs[0].item(j), pairs[1].item(j)
 
 
 def _rotate(v: np.ndarray, k: int, angle: float, pairs) -> np.ndarray:
@@ -151,13 +166,12 @@ def _rotate(v: np.ndarray, k: int, angle: float, pairs) -> np.ndarray:
     """
     out = v.copy()
     n = v.shape[0]
-    if k < n:
-        out[k] *= np.exp(1j * angle)
+    a, b = _move_rows(k, n, pairs)
+    if a == b:
+        out[a] *= np.exp(1j * angle)
         return out
-    imag, j = divmod(k - n, len(pairs[0]))
-    a, b = pairs[0][j], pairs[1][j]
     c, s = np.cos(angle), np.sin(angle)
-    if imag:
+    if k - n >= len(pairs[0]):  # imaginary rotation
         out[a], out[b] = c * v[a] - s * v[b], s * v[a] + c * v[b]
     else:
         out[a], out[b] = c * v[a] + 1j * s * v[b], 1j * s * v[a] + c * v[b]
@@ -196,10 +210,6 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                                       n_in, n_out, env_dim))
     n_params = total * total
     pairs = np.triu_indices(total, 1)
-    # the rows move k rotates, in _rotate's order: row k for a phase (a = b),
-    # then each pair (a, b) twice, for the real and the imaginary rotation
-    rows_a = np.concatenate([np.arange(total), pairs[0], pairs[0]]).tolist()
-    rows_b = np.concatenate([np.arange(total), pairs[1], pairs[1]]).tolist()
     support = objective.support
 
     best_r = None
@@ -223,7 +233,7 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                 break
             k = int(rng.integers(n_params))
             sign = -1.0 if rng.random() < 0.5 else 1.0
-            a, b = rows_a[k], rows_b[k]
+            a, b = _move_rows(k, total, pairs)
             if live[a] or live[b]:
                 cand = _rotate(v, k, sign * step, pairs)
                 r = objective(cand)

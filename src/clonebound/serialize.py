@@ -18,6 +18,33 @@ def _to_pairs(a) -> list[list[float]]:
     return np.stack([flat.real, flat.imag], -1).tolist()
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _pairs_json(a) -> str:
+    """``json.dumps(_to_pairs(a))``, written without building the pairs.
+
+    Each +0.0 is the literal ``0.0``; every other double, -0.0 included,
+    gets one ``float.__repr__``, and a non-finite one json's spelling.
+    """
+    flat = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.float64)
+    if not flat.size:
+        return "[]"
+    # tokens: "[[", re, ", ", im, "], [", re, ", ", im, ..., "]]"
+    tokens = np.empty(2 * flat.size + 1, dtype=object)
+    tokens[1::2] = "0.0"
+    tokens[2::4] = ", "
+    tokens[4::4] = "], ["
+    tokens[0], tokens[-1] = "[[", "]]"
+    nonzero = np.flatnonzero(flat.view(np.uint64))  # -0.0 has its sign bit set
+    values = flat[nonzero]
+    text = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        text = [_NON_FINITE.get(t, t) for t in text]
+    tokens[2 * nonzero + 1] = text
+    return "".join(tokens.tolist())
+
+
 def _from_pairs(entries, shape: tuple[int, ...]) -> np.ndarray:
     """[re, im] pairs as a complex array of ``shape``, every bit kept (-0.0 too)."""
     count = math.prod(shape)

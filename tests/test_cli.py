@@ -236,6 +236,50 @@ def test_optimize_malformed_config_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("restarts", 1.9), ("iterations", 3.7), ("seed", True), ("restarts", False),
+    ("n", 1.5), ("l", True), ("env", 2.5), ("seed", float("nan")),
+    ("iterations", float("inf")),
+])
+def test_optimize_refuses_a_fractional_or_bool_integer_key(tmp_path, capsys, key, value):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "iterations": 10, "restarts": 1, "env": 2, key: value}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err
+
+
+def test_optimize_integral_floats_still_read_as_ints(tmp_path, capsys):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    base = {"rho1": r1.to_dict(), "rho2": r2.to_dict(), "env": 2}
+    cfg.write_text(json.dumps({**base, "iterations": 10, "restarts": 1, "seed": 2}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    as_ints = capsys.readouterr().out
+    cfg.write_text(json.dumps({**base, "iterations": 10.0, "restarts": 1.0, "seed": 2.0,
+                               "n": 1.0, "l": 2.0, "env": 2.0}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == as_ints
+    assert json.loads(as_ints)["config"]["iterations"] == 10
+
+
+@pytest.mark.parametrize("key, value", [("points", 2.5), ("points", True), ("n", 1.5),
+                                        ("l", False)])
+def test_sweep_refuses_a_fractional_or_bool_integer_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"points": 3, key: value}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err
+    cfg.write_text(json.dumps({"points": 3.0, "n": 1.0, "l": 2.0}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4
+
+
 def test_sweep_default_csv(capsys):
     assert main(["sweep", "--f-min", "0.1", "--f-max", "0.9", "--points", "9"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -291,6 +292,46 @@ def test_search_result_serializes():
     assert doc["best_r"] == res.best_r
     assert doc["best_v"]["dim"] == 4
     assert len(doc["restart_traces"]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(_SKIP_PROBLEMS))
+def test_to_json_is_json_dumps_of_to_dict(name):
+    res = _SKIP_PROBLEMS[name][0](OptimizerConfig(restarts=2, iterations=150, seed=4))
+    doc = res.to_dict()
+    assert isinstance(doc["best_v"]["entries"], list)
+    assert list(doc)[-1] == "best_v"
+    assert res.to_json() == json.dumps(doc)
+
+
+def test_cli_optimize_writes_json_dumps_of_to_dict(tmp_path, capsys):
+    rho1, rho2 = _random_pair(151)
+    cfg = OptimizerConfig(restarts=2, iterations=40, seed=6)
+    path = tmp_path / "opt.json"
+    path.write_text(json.dumps({"rho1": rho1.to_dict(), "rho2": rho2.to_dict(),
+                                "env": 4, **cfg.to_dict()}))
+    assert main(["optimize", "--config", str(path)]) == 0
+    res = minimize_relative_error(rho1, rho2, _blank(8), _blank(8), dims=(1, 2, 4),
+                                  cfg=cfg)
+    assert capsys.readouterr().out == json.dumps(res.to_dict()) + "\n"
+
+
+def test_writing_a_wide_result_triggers_no_garbage_collection():
+    res = _blank_search(2, 16)(OptimizerConfig(restarts=1, iterations=60, seed=0))
+    assert res.best_v.shape == (64, 64)
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        text = res.to_json()
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
+    assert json.loads(text)["best_v"]["dim"] == 64
 
 
 def test_restricted_search_converges_on_pure_pair():

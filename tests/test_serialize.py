@@ -1,15 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from clonebound.errors import DimMismatch
 from clonebound.serialize import (
+    _pairs_json,
     entries_to_matrix,
     entries_to_vector,
     matrix_to_entries,
     vector_to_entries,
 )
+from clonebound.states import _haar
 
 EDGE = [0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308, 1.0 / 3.0, -7.5]
 
@@ -74,3 +77,45 @@ def test_non_numeric_values_rejected(bad):
         entries_to_vector([[1.0, 0.0], [bad, 0.0]], 2)
     with pytest.raises((TypeError, DimMismatch)):
         entries_to_vector([[1.0, 0.0], [0.0, bad]], 2)
+
+
+def test_pairs_json_is_json_dumps_of_the_pairs_at_the_edges():
+    inf, nan = float("inf"), float("nan")
+    m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -5e-324)],
+                  [complex(1e-5, 1e16), complex(1e300, -1e300), complex(-nan, 0.0)],
+                  [complex(inf, -inf), complex(-inf, nan), complex(1.0 / 3.0, -7.5)]])
+    assert np.signbit(m[1, 2].real)  # a NaN with its sign bit set
+    text = _pairs_json(m)
+    assert text == json.dumps(matrix_to_entries(m))
+    assert text.startswith('[[-0.0, 0.0], [0.0, -0.0], [5e-324, -5e-324], [1e-05, 1e+16]')
+    assert "[Infinity, -Infinity], [-Infinity, NaN]" in text
+    assert _pairs_json(m.T) == json.dumps(matrix_to_entries(m.T))  # not C-contiguous
+    assert _pairs_json(m[0]) == json.dumps(vector_to_entries(m[0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 33, 64])
+def test_pairs_json_matches_on_dense_and_identity_like_matrices(n):
+    rng = np.random.default_rng(n)
+    haar = _haar(rng, (n, n))
+    near_identity = np.eye(n, dtype=complex)
+    near_identity[: min(n, 3), : min(n, 3)] = _haar(rng, (min(n, 3),) * 2)
+    near_identity[n - 1, 0] = complex(-0.0, 0.25)
+    for m in (haar, haar.T, near_identity, near_identity[:, ::-1]):
+        assert _pairs_json(m) == json.dumps(matrix_to_entries(m))
+
+
+def test_pairs_json_matches_on_arbitrary_bit_patterns():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    bits = st.one_of(st.integers(0, 2 ** 64 - 1),
+                     st.sampled_from([0, 1 << 63, 0x7FF0 << 48, 0xFFF0 << 48, 0x7FF8 << 48]))
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(bits, min_size=2 * n * n, max_size=2 * n * n)))
+    def check(words):
+        n = math.isqrt(len(words) // 2)
+        m = np.array(words, dtype=np.uint64).view(np.float64).view(complex).reshape(n, n)
+        assert _pairs_json(m) == json.dumps(matrix_to_entries(m))
+
+    check()
