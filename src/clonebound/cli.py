@@ -131,11 +131,12 @@ def _pick(flag_value, doc: dict, key: str, default):
 
 
 def _typed(value, key: str, kind: type):
-    """A config value as ``kind``; an int key refuses a bool or a fractional
-    number instead of truncating it."""
-    if kind is int and (isinstance(value, bool)
-                        or isinstance(value, float) and not value.is_integer()):
-        raise OutOfRange(f'config key "{key}" must be an integer, got {value!r}')
+    """A config value as ``kind`` (int or float). Every key refuses a bool,
+    and an int key refuses a fractional number instead of truncating it."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        what = "an integer" if kind is int else "a number"
+        raise OutOfRange(f'config key "{key}" must be {what}, got {value!r}')
     return kind(value)
 
 
@@ -198,7 +199,11 @@ def cmd_optimize(args) -> int:
                        type(f.default))
         for f in dataclasses.fields(OptimizerConfig)
     })
-    if doc.get("restricted", False):
+    restricted = doc.get("restricted", False)
+    if not isinstance(restricted, bool):
+        raise OutOfRange(f'config key "restricted" must be true or false, '
+                         f'got {restricted!r}')
+    if restricted:
         result = restricted_cloner_search(rho1, rho2, cfg)
     else:
         d = rho1.dim
@@ -221,10 +226,10 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config) if args.config else {}
-    f_min = float(_pick(args.f_min, doc, "f_min", 0.0))
-    f_max = float(_pick(args.f_max, doc, "f_max", 0.99))
+    f_min = _typed(_pick(args.f_min, doc, "f_min", 0.0), "f_min", float)
+    f_max = _typed(_pick(args.f_max, doc, "f_max", 0.99), "f_max", float)
     points = _typed(_pick(args.points, doc, "points", 100), "points", int)
-    phi = float(_pick(args.phi, doc, "phi", 1.0))
+    phi = _typed(_pick(args.phi, doc, "phi", 1.0), "phi", float)
     n_in = _typed(_pick(args.n, doc, "n", 1), "n", int)
     n_out = _typed(_pick(args.l, doc, "l", 2), "l", int)
     if points < 1:

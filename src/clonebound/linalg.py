@@ -3,6 +3,11 @@
 Everything here is a pure function on numpy arrays. Matrices are dense,
 double precision, and capped at dimension 4096; tolerances are the module
 constants below.
+
+Only numpy is imported at load time. scipy is loaded by ``unitary_power``
+alone, on its first call, which ``purify``, ``target_overlap_unitary`` and
+``perfect_cloning_setup`` reach; ``bound``, ``sweep``, ``verify`` and
+``optimize`` never load it.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 import string
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimMismatch,
@@ -177,7 +181,9 @@ def unitary_power(u, t: float) -> np.ndarray:
     tt = float(t)
     if not 0.0 <= tt <= 1.0:
         raise OutOfRange(f"power t={tt} outside [0, 1]")
-    tri, w = sla.schur(a, output="complex")
+    import scipy.linalg  # the one scipy user; kept off the package's import path
+
+    tri, w = scipy.linalg.schur(a, output="complex")
     theta = np.angle(np.diagonal(tri))
     theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
     return (w * np.exp(1j * tt * theta)) @ w.conj().T

@@ -266,6 +266,79 @@ def test_optimize_integral_floats_still_read_as_ints(tmp_path, capsys):
     assert json.loads(as_ints)["config"]["iterations"] == 10
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("key", ["initial_step", "step_decay", "convergence_tol"])
+def test_optimize_refuses_a_bool_number_key(tmp_path, capsys, key, value):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "restricted": True, "iterations": 5, "restarts": 1,
+                               key: value}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err
+
+
+def test_optimize_integer_number_keys_read_as_floats(tmp_path, capsys):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    base = {"rho1": r1.to_dict(), "rho2": r2.to_dict(), "restricted": True,
+            "iterations": 10, "restarts": 1, "step_decay": 0.5}
+    cfg.write_text(json.dumps({**base, "initial_step": 2.0, "convergence_tol": 1e-3}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    as_floats = capsys.readouterr().out
+    cfg.write_text(json.dumps({**base, "initial_step": 2, "convergence_tol": 1e-3}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == as_floats
+    assert json.loads(as_floats)["config"]["initial_step"] == 2.0
+
+
+@pytest.mark.parametrize("value", ["no", 0.0, 1, None])
+def test_optimize_refuses_a_non_bool_restricted(tmp_path, capsys, value):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "iterations": 5, "restarts": 1, "env": 2,
+                               "restricted": value}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert '"restricted"' in captured.err
+
+
+@pytest.mark.parametrize("extra, env_dim", [({}, 2), ({"restricted": False}, 2),
+                                            ({"restricted": True}, 1)])
+def test_optimize_restricted_true_or_false(tmp_path, capsys, extra, env_dim):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "iterations": 5, "restarts": 1, "env": 2, **extra}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["env_dim"] == env_dim
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("key", ["f_min", "f_max", "phi"])
+def test_sweep_refuses_a_bool_number_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"f_min": 0.1, "f_max": 0.5, "points": 3, key: value}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err
+
+
+def test_sweep_integer_number_keys_read_as_floats(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"f_min": 0.0, "f_max": 0.5, "points": 3, "phi": 1.0}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    as_floats = capsys.readouterr().out
+    cfg.write_text(json.dumps({"f_min": 0, "f_max": 0.5, "points": 3, "phi": 1}))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == as_floats
+
+
 @pytest.mark.parametrize("key, value", [("points", 2.5), ("points", True), ("n", 1.5),
                                         ("l", False)])
 def test_sweep_refuses_a_fractional_or_bool_integer_key(tmp_path, capsys, key, value):
@@ -317,3 +390,45 @@ def test_console_script_installed():
     assert proc.returncode == 0
     assert abs(float(proc.stdout) - lower_bound(0.5, 1.0, 1, 2)) < 1e-15
     assert proc.stderr == ""
+
+
+_NO_SCIPY_CHILD = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+import clonebound
+from clonebound import cli, linalg
+from clonebound.states import random_density
+
+work = Path(sys.argv[1])
+cfg = work / "opt.json"
+cfg.write_text(json.dumps({
+    "rho1": random_density(2, 2, seed=1).to_dict(),
+    "rho2": random_density(2, 2, seed=2).to_dict(),
+    "restricted": True, "restarts": 1, "iterations": 5}))
+out = str(work / "out")
+for argv in (["bound", "--f", "0.5", "--phi", "1"],
+             ["sweep", "--points", "3", "--out", out],
+             ["verify", "--trials", "5", "--out", out],
+             ["optimize", "--config", str(cfg), "--out", out]):
+    assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "scipy loaded before unitary_power"
+root_x = linalg.unitary_power(np.array([[0, 1], [1, 0]]), 0.5)
+expected = np.array([[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
+assert np.abs(root_x - expected).max() < 1e-15, root_x
+assert "scipy.linalg" in sys.modules
+print("ok")
+"""
+
+
+def test_scipy_is_loaded_only_by_unitary_power(tmp_path):
+    # a fresh interpreter: this process has scipy loaded through the oracles
+    src = str(Path(clonebound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
