@@ -131,10 +131,11 @@ def _pick(flag_value, doc: dict, key: str, default):
 
 
 def _typed(value, key: str, kind: type):
-    """A config value as ``kind`` (int or float). Every key refuses a bool,
-    and an int key refuses a fractional number instead of truncating it."""
-    if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                   and not value.is_integer()):
+    """A config value as ``kind`` (int or float). Every key refuses anything
+    but a JSON number (a string, null, a list or a bool), and an int key
+    refuses a fractional number instead of truncating it."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
         what = "an integer" if kind is int else "a number"
         raise OutOfRange(f'config key "{key}" must be {what}, got {value!r}')
     return kind(value)
@@ -209,11 +210,11 @@ def cmd_optimize(args) -> int:
         d = rho1.dim
         n_in = _typed(doc.get("n", 1), "n", int)
         n_out = _typed(doc.get("l", 2), "l", int)
-        env_dim = _typed(doc.get("env", d * d), "env", int)
         if "upsilon1" in doc or "upsilon2" in doc:
-            ups1 = _state_from(doc, "upsilon1")
-            ups2 = _state_from(doc, "upsilon2")
+            ups1, ups2 = _state_from(doc, "upsilon1"), _state_from(doc, "upsilon2")
+            env_dim = _typed(doc["env"], "env", int) if "env" in doc else None
         else:
+            env_dim = _typed(doc.get("env", d * d), "env", int)
             ups1 = ups2 = _blank_ancilla(d ** (n_out - n_in) * env_dim)
         result = minimize_relative_error(rho1, rho2, ups1, ups2,
                                          dims=(n_in, n_out, env_dim), cfg=cfg)

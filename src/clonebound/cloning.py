@@ -32,6 +32,7 @@ from .states import (
     DensityMatrix,
     _angle,
     _bures,
+    _check_same_dim,
     _sine,
     fidelity,  # noqa: F401  (cloning.fidelity stays importable)
     purifications_with_overlap,
@@ -70,6 +71,36 @@ class BoundInput:
             )
 
 
+def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix,
+                  upsilon1: DensityMatrix, upsilon2: DensityMatrix,
+                  n_in: int, n_out: int, env_dim: int | None = None):
+    """(n_in, n_out, env_dim, d^L * e) of an N -> L cloning problem, by the one
+    rule: n_out > n_in >= 1, both inputs on C^d, both ancillas on C^(d^M * e)
+    with M = n_out - n_in, and d^L * e <= linalg.MAX_DIM. A None env_dim is
+    read off the ancilla, whose dimension d^M must then divide."""
+    n_in, n_out = int(n_in), int(n_out)
+    if n_in < 1 or n_out <= n_in:
+        raise OutOfRange(f"need n_out > n_in >= 1, got {n_in} -> {n_out}")
+    d = _check_same_dim(rho1, rho2)
+    extra_dim = d ** (n_out - n_in)
+    if env_dim is None:
+        if upsilon1.dim % extra_dim:
+            raise OutOfRange(f"ancilla dim {upsilon1.dim} not divisible by "
+                             f"d^M = {extra_dim}")
+        env_dim = upsilon1.dim // extra_dim
+    env_dim = int(env_dim)
+    if env_dim < 1:
+        raise OutOfRange(f"env_dim {env_dim} must be >= 1")
+    anc_dim = extra_dim * env_dim
+    if upsilon1.dim != anc_dim or upsilon2.dim != anc_dim:
+        raise DimMismatch(f"ancilla dim must be d^M*e = {anc_dim}, got "
+                          f"{upsilon1.dim} and {upsilon2.dim}")
+    total = d ** n_out * env_dim
+    if total > linalg.MAX_DIM:
+        raise DimTooLarge(f"total dim d^L*e = {total} exceeds {linalg.MAX_DIM}")
+    return n_in, n_out, env_dim, total
+
+
 class CloningSetup:
     """A concrete N -> L cloning channel evaluated on a pair of inputs.
 
@@ -83,34 +114,15 @@ class CloningSetup:
     def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix,
                  upsilon1: DensityMatrix, upsilon2: DensityMatrix,
                  v, n_in: int, n_out: int, env_dim: int):
-        n_in = int(n_in)
-        n_out = int(n_out)
-        env_dim = int(env_dim)
-        if n_in < 1 or n_out <= n_in:
-            raise OutOfRange(f"need n_out > n_in >= 1, got {n_in} -> {n_out}")
-        if env_dim < 1:
-            raise OutOfRange(f"env_dim {env_dim} must be >= 1")
-        d = rho1.dim
-        if rho2.dim != d:
-            raise DimMismatch(f"input dims differ: {d} vs {rho2.dim}")
-        m_extra = n_out - n_in
-        anc_dim = d ** m_extra * env_dim
-        if upsilon1.dim != anc_dim or upsilon2.dim != anc_dim:
-            raise DimMismatch(
-                f"ancilla dim must be d^M*e = {anc_dim}, got "
-                f"{upsilon1.dim} and {upsilon2.dim}"
-            )
-        total = d ** n_out * env_dim
-        if total > linalg.MAX_DIM:
-            raise DimTooLarge(f"total dim d^L*e = {total} exceeds {linalg.MAX_DIM}")
+        self.rho1, self.rho2 = rho1, rho2
+        self.upsilon1, self.upsilon2 = upsilon1, upsilon2
+        self.n_in, self.n_out, self.env_dim, total = _problem_dims(
+            rho1, rho2, upsilon1, upsilon2, n_in, n_out, env_dim)
         vm = linalg.as_matrix(v)
         if vm.shape[0] != total:
             raise DimMismatch(f"unitary dim {vm.shape[0]} != d^L*e = {total}")
         linalg.require_unitary(vm)
-        self.rho1, self.rho2 = rho1, rho2
-        self.upsilon1, self.upsilon2 = upsilon1, upsilon2
         self.v = vm
-        self.n_in, self.n_out, self.env_dim = n_in, n_out, env_dim
 
     @property
     def d(self) -> int:
@@ -122,7 +134,11 @@ class CloningSetup:
 
     @property
     def total_dim(self) -> int:
-        return self.d ** self.n_out * self.env_dim
+        return self.v.shape[0]
+
+    def _channel(self) -> "_Channel":
+        return _Channel(self.rho1, self.rho2, self.upsilon1, self.upsilon2,
+                        self.n_in, self.n_out)
 
     def __repr__(self) -> str:
         return (f"CloningSetup(d={self.d}, n_in={self.n_in}, "
@@ -233,11 +249,13 @@ def _side_by_side(factors: list[np.ndarray]) -> np.ndarray:
 
 
 class _Channel:
-    """A setup's cloning problem in factor form, ready to be evaluated under
-    any joint unitary V.
+    """A cloning problem in factor form, ready to be evaluated under any
+    joint unitary V.
 
-    Built once per problem from the small eigh of rho_1, rho_2, upsilon_1 and
-    upsilon_2, it holds what does not depend on V: the input factors
+    Built once per problem from the states and N -> L alone (no unitary;
+    the caller has validated the dimensions with _problem_dims), from the
+    small eigh of rho_1, rho_2, upsilon_1 and upsilon_2. It holds what does
+    not depend on V: the input factors
     K_i = K_rho_i^(x)N (x) Y_i, with K_i K_i^dagger = rho_i^(x)N (x) upsilon_i,
     and the ideal factors B_i, each pair as one stack, so that one product
     V K and one states._bures call serve both inputs; f, phi, the bound and
@@ -249,16 +267,16 @@ class _Channel:
     directly, and apply_cloning wraps its outputs as validated states.
     """
 
-    def __init__(self, setup: CloningSetup):
-        s = setup
-        self.f, factors, ideals, u = _ideal_factors(s.rho1, s.rho2, s.n_out)
+    def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix,
+                 upsilon1: DensityMatrix, upsilon2: DensityMatrix,
+                 n_in: int, n_out: int):
+        self.f, factors, ideals, u = _ideal_factors(rho1, rho2, n_out)
         self.ideal_angle, self.denominator = float(_angle(u)), float(_sine(u))
-        ancillas = [linalg._psd_factor(ups.matrix) for ups in (s.upsilon1, s.upsilon2)]
+        ancillas = [linalg._psd_factor(ups.matrix) for ups in (upsilon1, upsilon2)]
         self.phi = 1.0 - float(_bures(*ancillas))
-        self.bound = lower_bound(self.f, self.phi, s.n_in, s.n_out)
-        self.out_dim = s.d ** s.n_out
+        self.bound = lower_bound(self.f, self.phi, n_in, n_out)
         self.ideal_factors = _side_by_side(ideals)
-        self.inputs = _side_by_side([np.kron(_kron_power(k, s.n_in), y)
+        self.inputs = _side_by_side([np.kron(_kron_power(k, n_in), y)
                                      for k, y in zip(factors, ancillas)])
         # the joint-input rows where K_1 or K_2 is nonzero: a row of V that is
         # zero on them leaves its row of V K zero, whatever else it holds
@@ -268,7 +286,7 @@ class _Channel:
         """Output factors A_i = (V K_i).reshape(o, e * k) of both inputs, as
         one (2, o, e * k) stack: A_i A_i^dagger =
         Tr_env(V (rho_i^(x)N (x) upsilon_i) V^dagger)."""
-        return (v @ self.inputs).reshape(2, self.out_dim, -1)
+        return (v @ self.inputs).reshape(2, self.ideal_factors.shape[1], -1)
 
     def evaluate(self, v: np.ndarray):
         """(output factors, u_i = 1 - sqrt(F_i), absolute and relative error).
@@ -299,7 +317,7 @@ def apply_cloning(setup: CloningSetup) -> CloneOutcome:
     Raises SoundnessViolation if the relative error lands below the lower
     bound minus 1e-8, which no correct evaluation can do.
     """
-    factors, us, abs_err, rel_err = _Channel(setup).evaluate(setup.v)
+    factors, us, abs_err, rel_err = setup._channel().evaluate(setup.v)
     outs = factors @ _dagger(factors)
     out1, out2 = (DensityMatrix(m) for m in (outs + _dagger(outs)) / 2.0)
     delta1, delta2 = _angle(us).tolist()
@@ -366,7 +384,7 @@ def proof_chain_check(setup: CloningSetup) -> ProofChainReport:
     sqrt(1 - f^(2N) phi^2); sines are subadditive on [0, pi/2]; and the
     relative error therefore sits above the closed-form bound.
     """
-    channel = _Channel(setup)
+    channel = setup._channel()
     factors, us, _, rel_err = channel.evaluate(setup.v)
     delta1, delta2 = _angle(us).tolist()
     # R^dagger from a QR of A^dagger is a factor of the same output at most
@@ -402,15 +420,9 @@ def perfect_cloning_setup(rho1: DensityMatrix, rho2: DensityMatrix,
     identity channel outputs the ideal states exactly and the relative error
     vanishes. The environment dimension equals d^M.
     """
-    n_in = int(n_in)
-    n_out = int(n_out)
-    if n_in < 1 or n_out <= n_in:
-        raise OutOfRange(f"need n_out > n_in >= 1, got {n_in} -> {n_out}")
-    m_extra = n_out - n_in
-    blank1 = tensor_power(rho1, m_extra)
-    blank2 = tensor_power(rho2, m_extra)
-    y1, y2 = purifications_with_overlap(blank1, blank2, phi)
-    env_dim = rho1.dim ** m_extra
-    total = rho1.dim ** n_out * env_dim
-    return CloningSetup(rho1, rho2, y1.density(), y2.density(),
-                        np.eye(total, dtype=complex), n_in, n_out, env_dim)
+    m_extra = int(n_out) - int(n_in)
+    ups1, ups2 = (y.density() for y in purifications_with_overlap(
+        tensor_power(rho1, m_extra), tensor_power(rho2, m_extra), phi))
+    n_in, n_out, env_dim, total = _problem_dims(rho1, rho2, ups1, ups2, n_in, n_out)
+    return CloningSetup(rho1, rho2, ups1, ups2, np.eye(total, dtype=complex),
+                        n_in, n_out, env_dim)

@@ -123,11 +123,6 @@ class ProjectiveMeasurement:
     def outcomes(self) -> int:
         return len(self.projectors)
 
-    @property
-    def elements(self) -> list[np.ndarray]:
-        # lets probabilities() treat a projective measurement as a POVM
-        return self.projectors
-
     def __repr__(self) -> str:
         return f"ProjectiveMeasurement(dim={self.dim}, outcomes={self.outcomes})"
 
@@ -141,7 +136,8 @@ class DilationResult:
 
 
 def probabilities(measurement, rho: DensityMatrix) -> list[float]:
-    """Born-rule outcome probabilities Tr(E_a rho).
+    """Born-rule outcome probabilities Tr(E_a rho) of a POVM or a
+    ProjectiveMeasurement.
 
     Tiny negative values (>= -1e-12) clamp to zero; anything worse, an
     imaginary residue above 1e-12, or a total off 1 by more than 1e-9 raises
@@ -149,7 +145,9 @@ def probabilities(measurement, rho: DensityMatrix) -> list[float]:
     """
     if measurement.dim != rho.dim:
         raise DimMismatch(f"measurement dim {measurement.dim} != state dim {rho.dim}")
-    return _probabilities(np.stack(measurement.elements), rho.matrix).tolist()
+    elems = (measurement.projectors if isinstance(measurement, ProjectiveMeasurement)
+             else measurement.elements)
+    return _probabilities(np.stack(elems), rho.matrix).tolist()
 
 
 def _probabilities(elems: np.ndarray, rho: np.ndarray) -> np.ndarray:

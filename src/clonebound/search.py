@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cloning import SOUNDNESS_TOL, CloningSetup, _Channel, lower_bound
+from .cloning import SOUNDNESS_TOL, _Channel, _problem_dims, lower_bound
 from .errors import BudgetZero, OutOfRange, SoundnessViolation
 from .linalg import _dagger, _root_factor
 from .measure import (
@@ -184,30 +184,18 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                             cfg: OptimizerConfig | None = None) -> SearchResult:
     """Search the joint unitary group for the lowest relative error.
 
-    ``dims`` is (n_in, n_out, env_dim); a None env_dim is inferred from the
-    ancilla dimension. Restart 0 starts at the identity and restart r > 0 at
-    a Haar unitary; restart r draws its start and its moves from (seed, r),
-    so runs are reproducible and restarts could run in any order. The winner
-    is the strictly smallest best value with ties going to the earlier
-    restart, and its ``best_v`` is the very array that was evaluated.
+    ``dims`` is (n_in, n_out, env_dim), checked once by CloningSetup's rule;
+    a None env_dim is read off the ancilla. The channel is built from the
+    states alone, so no unitary is checked before the walk. Restart 0 starts
+    at the identity and restart r > 0 at a Haar unitary; restart r draws its
+    start and its moves from (seed, r), so runs are reproducible and
+    restarts could run in any order. The winner is the strictly smallest
+    best value with ties going to the earlier restart, and its ``best_v`` is
+    the very array that was evaluated.
     """
     cfg = cfg or OptimizerConfig()
-    n_in, n_out, env_dim = dims
-    n_in, n_out = int(n_in), int(n_out)
-    d = rho1.dim
-    if env_dim is None:
-        m_extra_dim = d ** (n_out - n_in) if n_out > n_in else 1
-        if upsilon1.dim % m_extra_dim:
-            raise OutOfRange(
-                f"ancilla dim {upsilon1.dim} not divisible by d^M = {m_extra_dim}"
-            )
-        env_dim = upsilon1.dim // m_extra_dim
-    env_dim = int(env_dim)
-    total = d ** n_out * env_dim
-    # the setup validates every dimension relation up front
-    objective = _Channel(CloningSetup(rho1, rho2, upsilon1, upsilon2,
-                                      np.eye(total, dtype=complex),
-                                      n_in, n_out, env_dim))
+    n_in, n_out, env_dim, total = _problem_dims(rho1, rho2, upsilon1, upsilon2, *dims)
+    objective = _Channel(rho1, rho2, upsilon1, upsilon2, n_in, n_out)
     n_params = total * total
     pairs = np.triu_indices(total, 1)
     support = objective.support

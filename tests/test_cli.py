@@ -353,6 +353,73 @@ def test_sweep_refuses_a_fractional_or_bool_integer_key(tmp_path, capsys, key, v
     assert len(capsys.readouterr().out.strip().split("\n")) == 4
 
 
+_NOT_NUMBERS = ["1", "2.0", None, [1]]
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
+@pytest.mark.parametrize("key", ["restarts", "iterations", "initial_step", "step_decay",
+                                 "seed", "convergence_tol", "n", "l", "env"])
+def test_optimize_refuses_a_value_that_is_not_a_json_number(tmp_path, capsys, key, value):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "iterations": 5, "restarts": 1, "env": 2, key: value}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
+@pytest.mark.parametrize("key", ["f_min", "f_max", "points", "phi", "n", "l"])
+def test_sweep_refuses_a_value_that_is_not_a_json_number(tmp_path, capsys, key, value):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"f_min": 0.1, "f_max": 0.5, "points": 3, key: value}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err
+
+
+def _ancilla_config(tmp_path, ancilla_dim: int, **extra):
+    _, r1, r2 = _states_file(tmp_path)
+    ups = DensityMatrix(np.eye(ancilla_dim, dtype=complex) / ancilla_dim)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "upsilon1": ups.to_dict(), "upsilon2": ups.to_dict(),
+                               "iterations": 5, "restarts": 1, **extra}))
+    return cfg
+
+
+@pytest.mark.parametrize("ancilla_dim, extra", [(4, {}), (4, {"env": 2}), (8, {}),
+                                                (2, {"l": 2})])
+def test_optimize_reads_env_off_an_explicit_ancilla(tmp_path, capsys, ancilla_dim, extra):
+    # d = 2 and M = 1, so the ancilla on C^(2 e) fixes e; no env key is needed
+    cfg = _ancilla_config(tmp_path, ancilla_dim, **extra)
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["env_dim"] == ancilla_dim // 2
+
+
+@pytest.mark.parametrize("ancilla_dim, extra", [(4, {"env": 4}), (4, {"env": 1}),
+                                                (5, {}), (4, {"env": None})])
+def test_optimize_refuses_an_env_the_ancilla_does_not_fit(tmp_path, capsys,
+                                                          ancilla_dim, extra):
+    cfg = _ancilla_config(tmp_path, ancilla_dim, **extra)
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
+def test_optimize_blank_ancilla_env_still_defaults_to_d_squared(tmp_path, capsys):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "iterations": 5, "restarts": 1}))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["env_dim"] == 4
+
+
 def test_sweep_default_csv(capsys):
     assert main(["sweep", "--f-min", "0.1", "--f-max", "0.9", "--points", "9"]) == 0
     out = capsys.readouterr().out

@@ -351,8 +351,37 @@ def test_channel_angles_agree_with_the_state_angle(d, kind):
                              oracles.haar_unitary(rng, d * d * env), 1, 2, env)
         ideals = [tensor_power(rho, 2) for rho in (rho1, rho2)]
         want = angle(*ideals)
-        assert abs(cloning._Channel(setup).ideal_angle - want) <= 1e-13
+        channel = cloning._Channel(rho1, rho2, setup.upsilon1, setup.upsilon2, 1, 2)
+        assert abs(channel.ideal_angle - want) <= 1e-13
         out = apply_cloning(setup)
         for delta, o, ideal in ((out.delta1, out.out1, ideals[0]),
                                 (out.delta2, out.out2, ideals[1])):
             assert abs(delta - angle(o, ideal)) <= 1e-13
+
+
+# (input dims, ancilla dim, n_in, n_out, env_dim, error); every case fails on
+# its dimensions alone, before any unitary is looked at
+_BAD_DIMS = {
+    "n_out_equals_n_in": ((2, 2), 2, 2, 2, 1, OutOfRange),
+    "n_in_below_one": ((2, 2), 4, 0, 2, 1, OutOfRange),
+    "input_dims_differ": ((2, 3), 2, 1, 2, 1, DimMismatch),
+    "ancilla_not_d_to_the_m_times_e": ((2, 2), 3, 1, 2, 1, DimMismatch),
+    "joint_dim_over_the_cap": ((3, 3), 729, 2, 5, 27, DimTooLarge),  # 3^5 * 27
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_DIMS))
+def test_every_entry_point_refuses_a_bad_dimension_alike(name):
+    (d1, d2), anc_dim, n_in, n_out, env, error = _BAD_DIMS[name]
+    rng = np.random.default_rng(sorted(_BAD_DIMS).index(name))
+    rho1 = DensityMatrix(oracles.random_density(rng, d1, d1))
+    rho2 = DensityMatrix(oracles.random_density(rng, d2, d2))
+    ups = _blank(anc_dim)
+    with pytest.raises(error):
+        CloningSetup(rho1, rho2, ups, ups, np.eye(2), n_in, n_out, env)
+    with pytest.raises(error):
+        minimize_relative_error(rho1, rho2, ups, ups, dims=(n_in, n_out, env),
+                                cfg=OptimizerConfig(restarts=1, iterations=1))
+    if name != "ancilla_not_d_to_the_m_times_e":  # it builds its own ancilla
+        with pytest.raises(error):
+            perfect_cloning_setup(rho1, rho2, 0.0, n_in, n_out)

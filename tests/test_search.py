@@ -25,7 +25,7 @@ from clonebound.states import (
 )
 
 import oracles
-from clonebound import cloning, measure, search, serialize, states
+from clonebound import cloning, linalg, measure, search, serialize, states
 from clonebound.cli import main
 from clonebound.states import _bures
 
@@ -240,8 +240,8 @@ def test_skipping_dead_moves_changes_no_output(monkeypatch, name):
     skipping_calls = len(calls)
     init = cloning._Channel.__init__
 
-    def every_row_is_support(self, setup):
-        init(self, setup)
+    def every_row_is_support(self, *problem):
+        init(self, *problem)
         self.support = np.arange(self.inputs.shape[1])
 
     monkeypatch.setattr(cloning._Channel, "__init__", every_row_is_support)
@@ -269,7 +269,7 @@ def test_a_move_on_dead_rows_leaves_the_channel_unchanged():
     ups = _blank(8)
     n = 16
     v = np.eye(n, dtype=complex)
-    channel = cloning._Channel(CloningSetup(rho1, rho2, ups, ups, v, 1, 2, 4))
+    channel = cloning._Channel(rho1, rho2, ups, ups, 1, 2)
     joint = np.kron(rho1.matrix, ups.matrix) + np.kron(rho2.matrix, ups.matrix)
     assert np.array_equal(channel.support, np.flatnonzero(np.diag(joint)))
     factors, cur = channel._factors(v), channel(v)
@@ -282,6 +282,19 @@ def test_a_move_on_dead_rows_leaves_the_channel_unchanged():
             cand = search._rotate(v, k, angle, pairs)
             assert np.array_equal(channel._factors(cand), factors), (k, angle)
             assert channel(cand) == cur, (k, angle)
+
+
+@pytest.mark.parametrize("name", sorted(_SKIP_PROBLEMS))
+def test_the_search_builds_no_setup_and_checks_no_unitary(monkeypatch, name):
+    # the channel comes from the states alone: no identity CloningSetup, and
+    # no O(n^3) unitarity check before the walk
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search built a CloningSetup or checked a unitary")
+
+    monkeypatch.setattr(cloning.CloningSetup, "__init__", refuse)
+    monkeypatch.setattr(linalg, "require_unitary", refuse)
+    res = _SKIP_PROBLEMS[name][0](OptimizerConfig(restarts=2, iterations=20, seed=0))
+    assert res.evaluations == 42
 
 
 def test_search_result_serializes():
