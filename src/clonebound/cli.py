@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-from . import linalg
-from .cloning import lower_bound
+from .cloning import _problem_dims, lower_bound
 from .errors import (
     CloneboundError,
     DegeneratePair,
@@ -165,11 +164,11 @@ def cmd_purify(args) -> int:
     rho1 = _state_from(doc, "rho1")
     rho2 = _state_from(doc, "rho2")
     y1, y2 = purifications_with_overlap(rho1, rho2, args.phi)
-    d = rho1.dim
     residuals = []
     for y, rho in ((y1, rho1), (y2, rho2)):
-        marg = linalg.partial_trace(y.density().matrix, [d, y.dim // d], {0})
-        residuals.append(float(np.linalg.norm(marg - rho.matrix)))
+        # amp[x * e + i] = A[x, i], so the marginal on the system is A A^dagger
+        a = y.amp.reshape(rho.dim, -1)
+        residuals.append(float(np.linalg.norm(a @ a.conj().T - rho.matrix)))
     out_doc = {
         "phi": float(args.phi),
         "achieved_overlap": float(abs(np.vdot(y1.amp, y2.amp))),
@@ -210,12 +209,23 @@ def cmd_optimize(args) -> int:
         d = rho1.dim
         n_in = _typed(doc.get("n", 1), "n", int)
         n_out = _typed(doc.get("l", 2), "l", int)
-        if "upsilon1" in doc or "upsilon2" in doc:
-            ups1, ups2 = _state_from(doc, "upsilon1"), _state_from(doc, "upsilon2")
-            env_dim = _typed(doc["env"], "env", int) if "env" in doc else None
-        else:
+        if n_in < 1:
+            raise OutOfRange(f'config key "n" must be >= 1, got {n_in}')
+        if n_out <= n_in:
+            raise OutOfRange(f'config key "l" must exceed n = {n_in}, got {n_out}')
+        explicit = "upsilon1" in doc or "upsilon2" in doc
+        env_dim = None
+        if "env" in doc or not explicit:
             env_dim = _typed(doc.get("env", d * d), "env", int)
-            ups1 = ups2 = _blank_ancilla(d ** (n_out - n_in) * env_dim)
+            if env_dim < 1:
+                raise OutOfRange(f'config key "env" must be >= 1, got {env_dim}')
+        if explicit:
+            ups1, ups2 = _state_from(doc, "upsilon1"), _state_from(doc, "upsilon2")
+        else:
+            anc_dim = d ** (n_out - n_in) * env_dim
+            # the dimension cap, before a blank of that size is allocated
+            _problem_dims(rho1, rho2, (anc_dim, anc_dim), n_in, n_out, env_dim)
+            ups1 = ups2 = _blank_ancilla(anc_dim)
         result = minimize_relative_error(rho1, rho2, ups1, ups2,
                                          dims=(n_in, n_out, env_dim), cfg=cfg)
     if args.format == "csv":

@@ -44,9 +44,11 @@ CHAIN_SLACK = 1e-9
 
 
 def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
-    """k-fold tensor power of a density matrix."""
+    """k-fold tensor power of a density matrix; the first power is rho itself."""
     if int(k) < 1:
         raise OutOfRange(f"tensor power {k} must be >= 1")
+    if int(k) == 1:
+        return rho
     m = reduce(linalg.kron, [rho.matrix] * int(k))
     return DensityMatrix(m)
 
@@ -71,30 +73,30 @@ class BoundInput:
             )
 
 
-def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix,
-                  upsilon1: DensityMatrix, upsilon2: DensityMatrix,
+def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix, anc_dims: tuple,
                   n_in: int, n_out: int, env_dim: int | None = None):
     """(n_in, n_out, env_dim, d^L * e) of an N -> L cloning problem, by the one
-    rule: n_out > n_in >= 1, both inputs on C^d, both ancillas on C^(d^M * e)
-    with M = n_out - n_in, and d^L * e <= linalg.MAX_DIM. A None env_dim is
-    read off the ancilla, whose dimension d^M must then divide."""
+    rule: n_out > n_in >= 1, both inputs on C^d, both ancillas (of dimensions
+    ``anc_dims``) on C^(d^M * e) with M = n_out - n_in, and
+    d^L * e <= linalg.MAX_DIM. A None env_dim is read off the first ancilla,
+    whose dimension d^M must then divide."""
     n_in, n_out = int(n_in), int(n_out)
     if n_in < 1 or n_out <= n_in:
         raise OutOfRange(f"need n_out > n_in >= 1, got {n_in} -> {n_out}")
     d = _check_same_dim(rho1, rho2)
     extra_dim = d ** (n_out - n_in)
     if env_dim is None:
-        if upsilon1.dim % extra_dim:
-            raise OutOfRange(f"ancilla dim {upsilon1.dim} not divisible by "
+        if anc_dims[0] % extra_dim:
+            raise OutOfRange(f"ancilla dim {anc_dims[0]} not divisible by "
                              f"d^M = {extra_dim}")
-        env_dim = upsilon1.dim // extra_dim
+        env_dim = anc_dims[0] // extra_dim
     env_dim = int(env_dim)
     if env_dim < 1:
         raise OutOfRange(f"env_dim {env_dim} must be >= 1")
     anc_dim = extra_dim * env_dim
-    if upsilon1.dim != anc_dim or upsilon2.dim != anc_dim:
+    if tuple(anc_dims) != (anc_dim, anc_dim):
         raise DimMismatch(f"ancilla dim must be d^M*e = {anc_dim}, got "
-                          f"{upsilon1.dim} and {upsilon2.dim}")
+                          f"{anc_dims[0]} and {anc_dims[1]}")
     total = d ** n_out * env_dim
     if total > linalg.MAX_DIM:
         raise DimTooLarge(f"total dim d^L*e = {total} exceeds {linalg.MAX_DIM}")
@@ -105,24 +107,34 @@ class CloningSetup:
     """A concrete N -> L cloning channel evaluated on a pair of inputs.
 
     Holds the input pair on C^d, the ancilla pair on C^(d^M * e) with
-    M = n_out - n_in, and the joint unitary on C^(d^L * e).
+    M = n_out - n_in, and the joint unitary on C^(d^L * e). The fields are
+    validated together at construction and stay fixed afterwards: assigning
+    one raises AttributeError. The channel (see _Channel) is built once, on
+    first use, and shared by apply_cloning and proof_chain_check; each of
+    them still evaluates it under V, soundness check included.
     """
 
     __slots__ = ("rho1", "rho2", "upsilon1", "upsilon2", "v",
-                 "n_in", "n_out", "env_dim")
+                 "n_in", "n_out", "env_dim", "_chan")
 
     def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix,
                  upsilon1: DensityMatrix, upsilon2: DensityMatrix,
                  v, n_in: int, n_out: int, env_dim: int):
-        self.rho1, self.rho2 = rho1, rho2
-        self.upsilon1, self.upsilon2 = upsilon1, upsilon2
-        self.n_in, self.n_out, self.env_dim, total = _problem_dims(
-            rho1, rho2, upsilon1, upsilon2, n_in, n_out, env_dim)
+        n_in, n_out, env_dim, total = _problem_dims(
+            rho1, rho2, (upsilon1.dim, upsilon2.dim), n_in, n_out, env_dim)
         vm = linalg.as_matrix(v)
         if vm.shape[0] != total:
             raise DimMismatch(f"unitary dim {vm.shape[0]} != d^L*e = {total}")
         linalg.require_unitary(vm)
-        self.v = vm
+        self.rho1, self.rho2 = rho1, rho2
+        self.upsilon1, self.upsilon2 = upsilon1, upsilon2
+        self.n_in, self.n_out, self.env_dim, self.v = n_in, n_out, env_dim, vm
+
+    def __setattr__(self, name: str, value) -> None:
+        # the channel is built from the fields on first use, so none may change
+        if hasattr(self, name):
+            raise AttributeError(f"CloningSetup.{name} is fixed at construction")
+        object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:
@@ -137,8 +149,12 @@ class CloningSetup:
         return self.v.shape[0]
 
     def _channel(self) -> "_Channel":
-        return _Channel(self.rho1, self.rho2, self.upsilon1, self.upsilon2,
-                        self.n_in, self.n_out)
+        try:
+            return self._chan
+        except AttributeError:
+            self._chan = _Channel(self.rho1, self.rho2, self.upsilon1,
+                                  self.upsilon2, self.n_in, self.n_out)
+            return self._chan
 
     def __repr__(self) -> str:
         return (f"CloningSetup(d={self.d}, n_in={self.n_in}, "
@@ -421,8 +437,10 @@ def perfect_cloning_setup(rho1: DensityMatrix, rho2: DensityMatrix,
     vanishes. The environment dimension equals d^M.
     """
     m_extra = int(n_out) - int(n_in)
+    anc_dim = rho1.dim ** (2 * m_extra)  # the rule refuses m_extra < 1 first
+    n_in, n_out, env_dim, total = _problem_dims(rho1, rho2, (anc_dim, anc_dim),
+                                                n_in, n_out)
     ups1, ups2 = (y.density() for y in purifications_with_overlap(
         tensor_power(rho1, m_extra), tensor_power(rho2, m_extra), phi))
-    n_in, n_out, env_dim, total = _problem_dims(rho1, rho2, ups1, ups2, n_in, n_out)
     return CloningSetup(rho1, rho2, ups1, ups2, np.eye(total, dtype=complex),
                         n_in, n_out, env_dim)

@@ -97,6 +97,11 @@ def sqrt_psd(m) -> np.ndarray:
     """
     a = as_matrix(m)
     require_hermitian(a)
+    return _sqrt_psd(a)
+
+
+def _sqrt_psd(a: np.ndarray) -> np.ndarray:
+    """sqrt_psd of a finite Hermitian matrix, unvalidated."""
     w, u = np.linalg.eigh(a)
     if w[0] < -TOL_PSD:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{TOL_PSD:.1e}")

@@ -194,7 +194,8 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
     the very array that was evaluated.
     """
     cfg = cfg or OptimizerConfig()
-    n_in, n_out, env_dim, total = _problem_dims(rho1, rho2, upsilon1, upsilon2, *dims)
+    n_in, n_out, env_dim, total = _problem_dims(
+        rho1, rho2, (upsilon1.dim, upsilon2.dim), *dims)
     objective = _Channel(rho1, rho2, upsilon1, upsilon2, n_in, n_out)
     n_params = total * total
     pairs = np.triu_indices(total, 1)

@@ -47,6 +47,11 @@ def _require_density(m: np.ndarray) -> None:
     low = np.linalg.eigvalsh(m)[..., 0].min()
     if low < -linalg.TOL_PSD:
         raise NotPSD(f"density eigenvalue {low:.3e} below -{linalg.TOL_PSD:.1e}")
+    _require_unit_trace(m)
+
+
+def _require_unit_trace(m: np.ndarray) -> None:
+    """Trace 1 within 1e-10 for each matrix of a (..., d, d) stack."""
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
     if off.max() > 1e-10:
@@ -70,6 +75,13 @@ class DensityMatrix:
         a = linalg.as_matrix(matrix)
         _require_density(a)
         self.matrix = a
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix the caller has shown to meet every invariant."""
+        rho = cls.__new__(cls)
+        rho.matrix = matrix
+        return rho
 
     @property
     def dim(self) -> int:
@@ -105,7 +117,21 @@ class PureState:
         return self.amp.size
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amp, self.amp.conj()))
+        """|y><y| as a DensityMatrix.
+
+        Of the density invariants only the trace |y|^2 = 1 within 1e-10 is
+        checked: the state has passed the finiteness and dimension checks,
+        and a rank-one outer product is PSD. The outer product is Hermitian
+        only to rounding, so its strict upper triangle is replaced by the
+        mirror of the lower one and its diagonal by its real part; eigh reads
+        nothing else, so the matrix decomposes exactly as the outer product.
+        """
+        m = np.outer(self.amp, self.amp.conj())
+        _require_unit_trace(m)
+        m = np.tril(m)
+        m += linalg._dagger(np.tril(m, -1))
+        np.fill_diagonal(m, m.diagonal().real)
+        return DensityMatrix._trusted(m)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -256,7 +282,7 @@ def overlap_under(v, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
 
 
 def _roots(rho1: DensityMatrix, rho2: DensityMatrix):
-    return linalg.sqrt_psd(rho1.matrix), linalg.sqrt_psd(rho2.matrix)
+    return linalg._sqrt_psd(rho1.matrix), linalg._sqrt_psd(rho2.matrix)
 
 
 def _overlap_svd(a: np.ndarray, b: np.ndarray):

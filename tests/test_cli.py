@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import clonebound
+from clonebound import cli, linalg
 from clonebound.cli import build_parser, main
 from clonebound.cloning import SOUNDNESS_TOL, lower_bound
 from clonebound.search import OptimizerConfig
-from clonebound.states import DensityMatrix, PureState, random_density
+from clonebound.states import DensityMatrix, PureState, fidelity, random_density
 
 import oracles
 
@@ -94,6 +96,26 @@ def test_purify_writes_verified_pair(tmp_path, capsys):
     y2 = np.array([complex(re, im) for re, im in doc["y2"]["amp"]])
     assert abs(abs(np.vdot(y1, y2)) - 0.4) <= 1e-9
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_purify_marginals_agree_with_the_partial_trace(tmp_path, capsys, d):
+    rng = np.random.default_rng(70 + d)
+    r1 = DensityMatrix(oracles.random_density(rng, d, d - 1))
+    r2 = DensityMatrix(oracles.random_density(rng, d, d))
+    states = tmp_path / "states.json"
+    states.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict()}))
+    out = tmp_path / "pur.json"
+    phi = 0.7 * math.sqrt(fidelity(r1, r2))
+    assert main(["purify", "--states", str(states), "--phi", repr(phi),
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for key, rho, residual in zip(("y1", "y2"), (r1, r2), doc["marginal_residuals"]):
+        y = PureState.from_dict(doc[key])
+        marg = linalg.partial_trace(y.density().matrix, [d, y.dim // d], {0})
+        a = y.amp.reshape(d, -1)
+        assert np.abs(a @ a.conj().T - marg).max() <= 1e-15
+        assert abs(residual - np.linalg.norm(marg - rho.matrix)) <= 1e-15
 
 
 def test_purify_unreachable_overlap_exits_1(tmp_path, capsys):
@@ -409,6 +431,27 @@ def test_optimize_refuses_an_env_the_ancilla_does_not_fit(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"env": 0}, '"env"'), ({"env": -3}, '"env"'), ({"n": 0}, '"n"'),
+    ({"n": 2, "l": 1}, '"l"'), ({"n": 2, "l": 2}, '"l"'),
+    ({"env": 1025}, "exceeds"),  # d^L e = 4100, over the cap
+])
+def test_optimize_refuses_a_bad_dimension_before_building_the_blank(
+        tmp_path, capsys, monkeypatch, extra, key):
+    def no_blank(dim):
+        raise AssertionError(f"blank ancilla of dim {dim} built")
+
+    monkeypatch.setattr(cli, "_blank_ancilla", no_blank)
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "iterations": 5, "restarts": 1, **extra}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err
 
 
 def test_optimize_blank_ancilla_env_still_defaults_to_d_squared(tmp_path, capsys):

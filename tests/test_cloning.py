@@ -48,6 +48,7 @@ def test_tensor_power():
     assert t.dim == 8
     assert np.linalg.norm(t.matrix - np.kron(rho.matrix, np.kron(rho.matrix, rho.matrix))) < 1e-14
     assert np.array_equal(tensor_power(rho, 1).matrix, rho.matrix)
+    assert tensor_power(rho, 1) is rho
     with pytest.raises(OutOfRange):
         tensor_power(rho, 0)
 
@@ -315,6 +316,36 @@ def test_soundness_guard_fires_on_a_faulty_channel(monkeypatch):
                                 cfg=OptimizerConfig(restarts=1, iterations=1))
 
 
+def test_a_setup_builds_one_channel_and_evaluates_it_on_every_call(monkeypatch):
+    builds, evaluations = [], []
+    init, evaluate = cloning._Channel.__init__, cloning._Channel.evaluate
+    monkeypatch.setattr(cloning._Channel, "__init__",
+                        lambda self, *problem: builds.append(1) or init(self, *problem))
+    monkeypatch.setattr(cloning._Channel, "evaluate",
+                        lambda self, v: evaluations.append(1) or evaluate(self, v))
+    ups = _blank(2)
+    setup = CloningSetup(_pure(0.0), _pure(0.9), ups, ups, np.eye(4, dtype=complex), 1, 2, 1)
+    out = apply_cloning(setup)
+    assert proof_chain_check(setup).all_hold
+    assert (len(builds), len(evaluations)) == (1, 2)
+    # a bound raised above the evaluated error must trip both calls' guard
+    setup._channel().bound = out.relative_error + 1.0
+    with pytest.raises(SoundnessViolation):
+        apply_cloning(setup)
+    with pytest.raises(SoundnessViolation):
+        proof_chain_check(setup)
+    assert len(builds) == 1
+
+
+def test_setup_fields_are_fixed_after_construction():
+    setup = perfect_cloning_setup(_pure(0.0), _pure(0.9), 0.5)
+    apply_cloning(setup)
+    for name in ("rho1", "rho2", "upsilon1", "upsilon2", "v", "n_in", "n_out",
+                 "env_dim", "_chan"):
+        with pytest.raises(AttributeError):
+            setattr(setup, name, getattr(setup, name))
+
+
 def test_a_near_copy_reads_its_true_sine():
     # V rotates |00,0> by sqrt(5e-13) into |01,1>, so output 1 is
     # (1 - 5e-13)|00><00| + 5e-13|01><01| against the ideal |00><00|: within
@@ -367,6 +398,9 @@ _BAD_DIMS = {
     "input_dims_differ": ((2, 3), 2, 1, 2, 1, DimMismatch),
     "ancilla_not_d_to_the_m_times_e": ((2, 2), 3, 1, 2, 1, DimMismatch),
     "joint_dim_over_the_cap": ((3, 3), 729, 2, 5, 27, DimTooLarge),  # 3^5 * 27
+    # 16^3 * 2 here; the perfect cloner's own ancilla is 16^2-dim (e = 16^2),
+    # and its 16^4-entry purification exceeds the cap
+    "perfect_cloner_over_the_cap": ((16, 16), 512, 1, 3, 2, DimTooLarge),
 }
 
 

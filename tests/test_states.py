@@ -68,6 +68,28 @@ def test_pure_state_validation_and_round_trip():
     assert np.linalg.norm(x.density().matrix - np.array([[0.5, -0.5j], [0.5j, 0.5]])) < 1e-15
 
 
+def test_a_pure_density_is_exactly_hermitian_and_decomposes_as_the_outer_product():
+    rng = np.random.default_rng(61)
+    for n in (2, 3, 4, 9, 16, 64):
+        for _ in range(5):
+            amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            y = PureState(amp / np.linalg.norm(amp))
+            m = y.density().matrix
+            assert np.array_equal(m, m.conj().T)
+            outer = np.outer(y.amp, y.amp.conj())
+            for got, want in zip(np.linalg.eigh(m), np.linalg.eigh(outer)):
+                assert np.array_equal(got, want)
+
+
+def test_a_pure_density_still_checks_its_trace():
+    # a norm of 1 + 6e-11 passes PureState's 1e-10 check, but the trace
+    # |y|^2 is off by 1.2e-10, which the density check refuses
+    y = PureState(np.array([1.0 + 6e-11, 0.0, 0.0]))
+    with pytest.raises(NotDensity):
+        y.density()
+    assert PureState(np.array([1.0 + 4e-11, 0.0])).density().dim == 2
+
+
 def test_fidelity_frozen_values():
     assert abs(fidelity(_zero(), _plus()) - 0.5) < 1e-12
     assert abs(fidelity(_mixed(), _plus()) - 0.5) < 1e-12
