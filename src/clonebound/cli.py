@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .cloning import _problem_dims, lower_bound
+from .cloning import _copy_counts, _problem_dims, lower_bound
 from .errors import (
     CloneboundError,
     DegeneratePair,
@@ -222,8 +222,9 @@ def cmd_optimize(args) -> int:
         if explicit:
             ups1, ups2 = _state_from(doc, "upsilon1"), _state_from(doc, "upsilon2")
         else:
+            # the dimension cap, before d^L is formed or a blank allocated
+            _copy_counts(rho1, rho2, n_in, n_out)
             anc_dim = d ** (n_out - n_in) * env_dim
-            # the dimension cap, before a blank of that size is allocated
             _problem_dims(rho1, rho2, (anc_dim, anc_dim), n_in, n_out, env_dim)
             ups1 = ups2 = _blank_ancilla(anc_dim)
         result = minimize_relative_error(rho1, rho2, ups1, ups2,

@@ -73,6 +73,24 @@ class BoundInput:
             )
 
 
+# d^L <= MAX_DIM with d >= 2 needs L <= log2(MAX_DIM)
+_MAX_OUTPUTS = linalg.MAX_DIM.bit_length() - 1
+
+
+def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int):
+    """(d, n_in, n_out) by the part of _problem_dims's rule that forms no
+    power of d: n_out > n_in >= 1, both inputs on C^d, and for d >= 2 at most
+    log2(linalg.MAX_DIM) outputs, so that d^L can be formed at all."""
+    n_in, n_out = int(n_in), int(n_out)
+    if n_in < 1 or n_out <= n_in:
+        raise OutOfRange(f"need n_out > n_in >= 1, got {n_in} -> {n_out}")
+    d = _check_same_dim(rho1, rho2)
+    if d > 1 and n_out > _MAX_OUTPUTS:
+        raise DimTooLarge(f"{n_out} outputs give d^L >= 2^{n_out}, over the cap "
+                          f"{linalg.MAX_DIM}")
+    return d, n_in, n_out
+
+
 def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix, anc_dims: tuple,
                   n_in: int, n_out: int, env_dim: int | None = None):
     """(n_in, n_out, env_dim, d^L * e) of an N -> L cloning problem, by the one
@@ -80,10 +98,7 @@ def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix, anc_dims: tuple,
     ``anc_dims``) on C^(d^M * e) with M = n_out - n_in, and
     d^L * e <= linalg.MAX_DIM. A None env_dim is read off the first ancilla,
     whose dimension d^M must then divide."""
-    n_in, n_out = int(n_in), int(n_out)
-    if n_in < 1 or n_out <= n_in:
-        raise OutOfRange(f"need n_out > n_in >= 1, got {n_in} -> {n_out}")
-    d = _check_same_dim(rho1, rho2)
+    d, n_in, n_out = _copy_counts(rho1, rho2, n_in, n_out)
     extra_dim = d ** (n_out - n_in)
     if env_dim is None:
         if anc_dims[0] % extra_dim:
@@ -436,8 +451,9 @@ def perfect_cloning_setup(rho1: DensityMatrix, rho2: DensityMatrix,
     identity channel outputs the ideal states exactly and the relative error
     vanishes. The environment dimension equals d^M.
     """
-    m_extra = int(n_out) - int(n_in)
-    anc_dim = rho1.dim ** (2 * m_extra)  # the rule refuses m_extra < 1 first
+    d, n_in, n_out = _copy_counts(rho1, rho2, n_in, n_out)
+    m_extra = n_out - n_in
+    anc_dim = d ** (2 * m_extra)
     n_in, n_out, env_dim, total = _problem_dims(rho1, rho2, (anc_dim, anc_dim),
                                                 n_in, n_out)
     ups1, ups2 = (y.density() for y in purifications_with_overlap(

@@ -26,20 +26,27 @@ from .states import DensityMatrix, PureState, _ginibre
 
 
 def _require_povm(elems: np.ndarray) -> None:
-    """The POVM invariants on a (..., m, d, d) stack of element lists: each
-    element Hermitian within TOL_HERM with lowest eigenvalue >= -TOL_PSD, and
-    the elements of each list summing to the identity within 1e-9."""
-    dev = linalg._frobenius(elems - linalg._dagger(elems))
-    bad = dev > linalg.TOL_HERM
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise InvalidPOVM(f"element {k % bad.shape[-1]} not Hermitian (dev {dev.flat[k]:.3e})")
+    """The POVM invariants on a (..., m, d, d) stack of element lists: those
+    of _require_resolution, and each element's lowest eigenvalue >= -TOL_PSD."""
+    _require_resolution(elems)
     low = np.linalg.eigvalsh(elems)[..., 0]
     bad = low < -linalg.TOL_PSD
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InvalidPOVM(f"element {k % bad.shape[-1]} eigenvalue {low.flat[k]:.3e} "
                           f"below -{linalg.TOL_PSD:.1e}")
+
+
+def _require_resolution(elems: np.ndarray) -> None:
+    """The POVM invariants but positivity on a (..., m, d, d) stack of element
+    lists: each element Hermitian within TOL_HERM, and the elements of each
+    list summing to the identity within 1e-9. Gram products are PSD by
+    construction and need no more."""
+    dev = linalg._frobenius(elems - linalg._dagger(elems))
+    bad = dev > linalg.TOL_HERM
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InvalidPOVM(f"element {k % bad.shape[-1]} not Hermitian (dev {dev.flat[k]:.3e})")
     res = float(np.max(linalg._frobenius(elems.sum(axis=-3) - np.eye(elems.shape[-1]))))
     if res > 1e-9:
         raise InvalidPOVM(f"elements sum to identity only within {res:.3e}")

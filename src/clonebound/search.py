@@ -26,14 +26,14 @@ import numpy as np
 
 from .cloning import SOUNDNESS_TOL, _Channel, _problem_dims, lower_bound
 from .errors import BudgetZero, OutOfRange, SoundnessViolation
-from .linalg import _dagger, _root_factor
+from .linalg import _dagger, _frobenius
 from .measure import (
     POVM,
     _normalized_povm,
     _probabilities,
     _projector_gap_stack,
-    _require_povm,
     _require_projector,
+    _require_resolution,
 )
 from .serialize import _pairs_json, matrix_to_entries
 from .states import (
@@ -41,13 +41,11 @@ from .states import (
     PureState,
     _angle,
     _angle_pure_stack,
-    _angle_stack,
     _bures,
     _density_from_factor,
     _fidelity,
     _ginibre,
     _haar,
-    _require_density,
     _require_unit,
     fidelity,  # noqa: F401  (search.fidelity stays importable)
 )
@@ -369,14 +367,15 @@ class VerificationReport:
 CHUNK = 1024  # trials drawn and checked per vectorised pass; bounds memory
 
 
-def _densities(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """n validated random density matrices, each of a rank uniform in 1..d:
-    the columns of a full Ginibre factor beyond the rank are masked out."""
+def _density_factors(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """Factors K of n random density matrices K K^dagger, each of a rank
+    uniform in 1..d: a full Ginibre factor with the columns beyond the rank
+    masked out, scaled to unit Frobenius norm. K K^dagger is PSD of exact
+    rank and unit trace by construction, so no stack is validated or
+    factored again; _bures takes K as it is."""
     ranks = rng.integers(1, d + 1, size=n)
     g = _ginibre(rng, (n, d, d)) * (np.arange(d) < ranks[:, None])[:, None, :]
-    m = _density_from_factor(g)
-    _require_density(m)
-    return m
+    return g / _frobenius(g)[:, None, None]
 
 
 def _unit_vectors(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
@@ -386,17 +385,17 @@ def _unit_vectors(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     return v
 
 
-def _density_docs(i: int, **stacks) -> dict:
-    """Trial i of each density stack, validated and serialized."""
-    return {name: DensityMatrix(m[i]).to_dict() for name, m in stacks.items()}
+def _density_docs(i: int, **factors) -> dict:
+    """The density of trial i of each factor stack, validated and serialized."""
+    return {name: DensityMatrix(_density_from_factor(k[i])).to_dict()
+            for name, k in factors.items()}
 
 
 def _triple(rng, d, n):
-    """Three density stacks and u = 1 - sqrt(F) of the pairs (chi, omega),
-    (chi, rho) and (omega, rho), each stack factored once."""
-    chi, omega, rho = (_densities(rng, d, n) for _ in range(3))
-    k_chi, k_omega, k_rho = (_root_factor(m) for m in (chi, omega, rho))
-    us = _bures(k_chi, k_omega), _bures(k_chi, k_rho), _bures(k_omega, k_rho)
+    """Three density factor stacks and u = 1 - sqrt(F) of the pairs
+    (chi, omega), (chi, rho) and (omega, rho)."""
+    chi, omega, rho = (_density_factors(rng, d, n) for _ in range(3))
+    us = _bures(chi, omega), _bures(chi, rho), _bures(omega, rho)
     return us, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
 
 
@@ -415,16 +414,17 @@ _MAX_OUTCOMES = 5
 
 def _probability_deviation(rng, d, n):
     # 2-5 outcomes per trial, padded to 5 with zero elements: a zero element
-    # has p = q = 0 and leaves the largest deviation unchanged
+    # has p = q = 0 and leaves the largest deviation unchanged. Each element
+    # is a Gram product (S G_a)(S G_a)^dagger, so PSD by construction; only
+    # Hermiticity and the sum to the identity are checked.
     outcomes = rng.integers(2, _MAX_OUTCOMES + 1, size=n)
     g = _ginibre(rng, (n, _MAX_OUTCOMES, d, d))
     g *= (np.arange(_MAX_OUTCOMES) < outcomes[:, None])[..., None, None]
     elems = _normalized_povm(g @ _dagger(g))
-    _require_povm(elems)
-    chi, omega = _densities(rng, d, n), _densities(rng, d, n)
-    deviation = np.max(np.abs(_probabilities(elems, chi) - _probabilities(elems, omega)),
-                       axis=-1)
-    margins = deviation - np.sin(_angle_stack(chi, omega))
+    _require_resolution(elems)
+    chi, omega = _density_factors(rng, d, n), _density_factors(rng, d, n)
+    p, q = (_probabilities(elems, _density_from_factor(k)) for k in (chi, omega))
+    margins = np.max(np.abs(p - q), axis=-1) - np.sin(_angle(_bures(chi, omega)))
     return margins, lambda i: {"povm": POVM(elems[i, :outcomes[i]]).to_dict(),
                                **_density_docs(i, chi=chi, omega=omega)}
 
@@ -434,6 +434,7 @@ def _projector_gap(rng, d, n):
     basis = _haar(rng, (n, d, d))
     ranks = rng.integers(1, d + 1, size=n)
     proj = (basis * (np.arange(d) < ranks[:, None])[:, None, :]) @ _dagger(basis)
+    proj = (proj + _dagger(proj)) / 2.0  # exactly Hermitian, like every density
     _require_projector(proj)
     margins = _projector_gap_stack(x, y, proj) - np.sin(_angle_pure_stack(x, y))
     return margins, lambda i: {"x": PureState(x[i]).to_dict(),

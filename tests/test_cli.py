@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,20 @@ def test_optimize_refuses_a_bad_dimension_before_building_the_blank(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+def test_optimize_refuses_an_output_count_over_the_cap_at_once(tmp_path, capsys):
+    # 3^(10^7) is never formed: 10^7 outputs exceed log2(4096) at any d >= 2
+    r1, r2 = (random_density(3, 3, seed=s) for s in (31, 32))
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "l": 10 ** 7, "iterations": 5, "restarts": 1}))
+    start = time.perf_counter()
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(linalg.MAX_DIM) in captured.err
 
 
 def test_optimize_blank_ancilla_env_still_defaults_to_d_squared(tmp_path, capsys):

@@ -401,6 +401,9 @@ _BAD_DIMS = {
     # 16^3 * 2 here; the perfect cloner's own ancilla is 16^2-dim (e = 16^2),
     # and its 16^4-entry purification exceeds the cap
     "perfect_cloner_over_the_cap": ((16, 16), 512, 1, 3, 2, DimTooLarge),
+    # d^L would have 4.8 million digits; L > log2(4096) is refused first.
+    # Named to sort last, so the other cases keep their seeds.
+    "too_many_outputs_for_the_cap": ((3, 3), 3, 1, 10 ** 7, 1, DimTooLarge),
 }
 
 

@@ -1,12 +1,14 @@
 import gc
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from clonebound.cloning import SOUNDNESS_TOL, CloningSetup, apply_cloning
 from clonebound.errors import BudgetZero, OutOfRange
+from clonebound.measure import POVM, probabilities, projector_gap
 from clonebound.search import (
     OptimizerConfig,
     VerificationReport,
@@ -17,9 +19,12 @@ from clonebound.search import (
     sweep_to_json,
     verify_inequalities,
 )
+from clonebound.serialize import entries_to_matrix
 from clonebound.states import (
     DensityMatrix,
     PureState,
+    angle,
+    angle_pure,
     fidelity,
     purifications_with_overlap,
 )
@@ -507,6 +512,74 @@ def test_verify_chunk_boundary_is_counted_and_deterministic():
     assert [c.trials for c in a.checks] == [search.CHUNK + 1] * 4
     assert a.violations == 0
     assert a.to_json() == verify_inequalities(3, search.CHUNK + 1, seed=4).to_json()
+
+
+def _worst_case_margins(doc: dict) -> dict:
+    """lhs - rhs of each family's serialized worst case, recomputed through
+    the public, validated API (the eigh route to every fidelity)."""
+    def rho(case, name):
+        return DensityMatrix.from_dict(case[name])
+
+    cases = {c["name"]: c["worst_case"] for c in doc["checks"]}
+    tri, fid = cases["angle_triangle"], cases["fidelity_difference"]
+    dev, gap = cases["probability_deviation"], cases["projector_gap"]
+    chi, omega, r = (rho(tri, k) for k in ("chi", "omega", "rho"))
+    out = {"angle_triangle": angle(chi, omega) - (angle(chi, r) + angle(omega, r))}
+    chi, omega, r = (rho(fid, k) for k in ("chi", "omega", "rho"))
+    out["fidelity_difference"] = (abs(fidelity(chi, r) - fidelity(omega, r))
+                                  - math.sin(angle(chi, omega)))
+    povm = POVM.from_dict(dev["povm"])
+    chi, omega = rho(dev, "chi"), rho(dev, "omega")
+    out["probability_deviation"] = (
+        max(abs(p - q) for p, q in zip(probabilities(povm, chi), probabilities(povm, omega)))
+        - math.sin(angle(chi, omega)))
+    x, y = PureState.from_dict(gap["x"]), PureState.from_dict(gap["y"])
+    pi = entries_to_matrix(gap["projector"]["entries"], gap["projector"]["dim"])
+    out["projector_gap"] = projector_gap(x, y, pi) - math.sin(angle_pure(x, y))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_each_worst_case_reproduces_its_margin_through_the_public_api(d):
+    for seed in (0, 1, 2):
+        doc = json.loads(verify_inequalities(d, 200, seed).to_json())
+        again = _worst_case_margins(doc)
+        for c in doc["checks"]:
+            assert abs(again[c["name"]] - c["max_margin"]) <= 1e-12, (seed, c["name"])
+
+
+@pytest.mark.parametrize("d, trials, seed", [
+    (2, 5, 99999999999999999999), *((d, 50, s) for d in range(2, 7) for s in (0, 1))])
+def test_every_worst_case_projector_is_exactly_hermitian(d, trials, seed):
+    report = verify_inequalities(d, trials, seed)
+    doc = next(c for c in report.checks if c.name == "projector_gap").worst_case
+    pi = entries_to_matrix(doc["projector"]["entries"], d)
+    assert np.array_equal(pi, pi.conj().T)
+    assert np.all(pi.diagonal().imag == 0.0)
+
+
+def test_verify_takes_no_eigvalsh_and_one_eigh_per_povm_chunk(monkeypatch, tmp_path):
+    # sampled states enter the kernel as their Ginibre factors, so the only
+    # decomposition left is _normalized_povm's eigh of each chunk's POVM sums
+    calls = {"eigvalsh": 0, "eigh": 0, "_root_factor": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (linalg, "_root_factor")):
+        original = getattr(owner, name)
+        wrapped = counting(name, original)
+        for mod in (owner, *(m for k, m in sys.modules.items() if k.startswith("clonebound"))):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapped)
+    monkeypatch.setattr(search, "CHUNK", 16)
+    for d in (2, 3, 4):
+        assert main(["verify", "--dim", str(d), "--trials", "40", "--seed", "21",
+                     "--format", "csv", "--out", str(tmp_path / "v.csv")]) == 0
+    assert calls == {"eigvalsh": 0, "eigh": 3 * 3, "_root_factor": 0}  # 3 chunks per d
 
 
 @pytest.mark.parametrize("margins", [

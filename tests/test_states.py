@@ -361,6 +361,42 @@ def test_stack_kernels_agree_with_per_call_hypothesis():
     check()
 
 
+def _masked_factors(rng, d: int, ranks) -> np.ndarray:
+    """A stack of d x d Ginibre factors of unit Frobenius norm, column r and
+    beyond zero for each rank r."""
+    shape = (len(ranks), d, d)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    g *= np.arange(d) < np.asarray(ranks)[:, None, None]
+    return g / np.sqrt((np.abs(g) ** 2).sum(axis=(-2, -1)))[:, None, None]
+
+
+def _gram(k: np.ndarray) -> np.ndarray:
+    return k @ k.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_bures_does_not_depend_on_the_factor(d):
+    rng = np.random.default_rng([17, d])
+    # every pair of ranks 1..d, three times over
+    r1, r2 = (np.tile(r.ravel(), 3) + 1 for r in np.indices((d, d)))
+    k1, k2 = _masked_factors(rng, d, r1), _masked_factors(rng, d, r2)
+    # and orthogonal rank-1 pairs, which read u = 1
+    basis = oracles.haar_unitary(rng, d)
+    x = np.zeros((d - 1, d, d), dtype=complex)
+    y = np.zeros((d - 1, d, d), dtype=complex)
+    x[:, :, 0] = basis[:, 0]
+    y[:, :, 0] = basis[:, 1:].T
+    k1, k2 = np.concatenate([k1, x]), np.concatenate([k2, y])
+    u = states._bures(k1, k2)
+    u_eig = states._bures(linalg._root_factor(_gram(k1)), linalg._root_factor(_gram(k2)))
+    assert np.max(np.abs(u - u_eig)) <= 1e-14
+    assert np.all(np.abs(u[-(d - 1):] - 1.0) <= 1e-14)
+    # an identical pair reads exactly 0, under the same factor or another
+    assert np.all(states._bures(k1, k1) == 0.0)
+    rotated = k1 @ oracles.haar_unitary(rng, d)
+    assert np.all(states._bures(k1, rotated) == 0.0)
+
+
 def test_stack_density_checks_name_the_same_errors():
     good = np.stack([np.eye(2, dtype=complex) / 2] * 3)
     states._require_density(good)
