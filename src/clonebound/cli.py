@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON problem + optimizer settings; flags override")
     o.add_argument("--restarts", type=int, default=None)
     o.add_argument("--iterations", type=int, default=None)
-    o.add_argument("--initial-step", dest="initial_step", type=float,
-                   default=None)
-    o.add_argument("--step-decay", dest="step_decay", type=float, default=None)
-    o.add_argument("--convergence-tol", dest="convergence_tol", type=float,
-                   default=None)
     o.add_argument("--seed", type=int, default=None)
     o.add_argument("--out", default=None)
     o.add_argument("--format", choices=("json", "csv"), default="json")
@@ -194,6 +189,12 @@ def cmd_optimize(args) -> int:
     doc = _load_json(args.config)
     rho1 = _state_from(doc, "rho1")
     rho2 = _state_from(doc, "rho2")
+    # the step schedule is fixed: a config that still sets one of its retired
+    # keys is refused rather than silently run with another walk than it asked for
+    for key in ("initial_step", "step_decay", "convergence_tol"):
+        if key in doc:
+            raise OutOfRange(f'config key "{key}" is retired: the search\'s step '
+                             "schedule is fixed")
     cfg = OptimizerConfig(**{
         f.name: _typed(_pick(getattr(args, f.name), doc, f.name, f.default), f.name,
                        type(f.default))

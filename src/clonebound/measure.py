@@ -24,6 +24,9 @@ from .errors import (
 from .serialize import entries_to_matrix, matrix_to_entries
 from .states import DensityMatrix, PureState, _ginibre
 
+TOL_SUM = 1e-9  # how far POVM elements may sum from I, or probabilities from 1
+TOL_PROB = 1e-12  # the largest imaginary part or negative value a probability clamps
+
 
 def _require_povm(elems: np.ndarray) -> None:
     """The POVM invariants on a (..., m, d, d) stack of element lists: those
@@ -40,7 +43,7 @@ def _require_povm(elems: np.ndarray) -> None:
 def _require_resolution(elems: np.ndarray) -> None:
     """The POVM invariants but positivity on a (..., m, d, d) stack of element
     lists: each element Hermitian within TOL_HERM, and the elements of each
-    list summing to the identity within 1e-9. Gram products are PSD by
+    list summing to the identity within TOL_SUM. Gram products are PSD by
     construction and need no more."""
     dev = linalg._frobenius(elems - linalg._dagger(elems))
     bad = dev > linalg.TOL_HERM
@@ -48,7 +51,7 @@ def _require_resolution(elems: np.ndarray) -> None:
         k = int(np.argmax(bad))
         raise InvalidPOVM(f"element {k % bad.shape[-1]} not Hermitian (dev {dev.flat[k]:.3e})")
     res = float(np.max(linalg._frobenius(elems.sum(axis=-3) - np.eye(elems.shape[-1]))))
-    if res > 1e-9:
+    if res > TOL_SUM:
         raise InvalidPOVM(f"elements sum to identity only within {res:.3e}")
 
 
@@ -146,9 +149,9 @@ def probabilities(measurement, rho: DensityMatrix) -> list[float]:
     """Born-rule outcome probabilities Tr(E_a rho) of a POVM or a
     ProjectiveMeasurement.
 
-    Tiny negative values (>= -1e-12) clamp to zero; anything worse, an
-    imaginary residue above 1e-12, or a total off 1 by more than 1e-9 raises
-    instead of being silently repaired.
+    Tiny negative values (>= -TOL_PROB) clamp to zero; anything worse, an
+    imaginary residue above TOL_PROB, or a total off 1 by more than TOL_SUM
+    raises instead of being silently repaired.
     """
     if measurement.dim != rho.dim:
         raise DimMismatch(f"measurement dim {measurement.dim} != state dim {rho.dim}")
@@ -161,22 +164,23 @@ def _probabilities(elems: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """probabilities() over a (..., m, d, d) element stack and a (..., d, d)
     state stack, with the same checks; returns the (..., m) probabilities."""
     p = np.trace(elems @ rho[..., None, :, :], axis1=-2, axis2=-1)
-    bad = np.abs(p.imag) > 1e-12
+    bad = np.abs(p.imag) > TOL_PROB
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InvalidPOVM(f"outcome {k % bad.shape[-1]} probability has imag part "
                           f"{p.imag.flat[k]:.3e}")
-    bad = p.real < -1e-12
+    bad = p.real < -TOL_PROB
     if np.any(bad):
         k = int(np.argmax(bad))
         raise InvalidPOVM(f"outcome {k % bad.shape[-1]} probability {p.real.flat[k]:.3e} "
-                          "below -1e-12")
+                          f"below -{TOL_PROB}")
     probs = np.maximum(p.real, 0.0)
     total = probs.sum(axis=-1)
     off = np.abs(total - 1.0)
-    if np.max(off) > 1e-9:
+    if np.max(off) > TOL_SUM:
         raise InvalidPOVM(f"probabilities sum to {total.flat[np.argmax(off)]}, "
-                          "off by more than 1e-9")
+                          "off by more than "
+                          + np.format_float_scientific(TOL_SUM, trim="-", exp_digits=1))
     return probs
 
 

@@ -5,14 +5,16 @@ by Givens rotations (coordinate descent on U(n)). A move applies
 exp(i t E_k) to the current unitary V, with E_k one of the n^2 Hermitian
 coordinate generators, so it changes one row (a phase) or two rows (a real
 or imaginary 2 x 2 rotation) of V; the walk keeps a move only when it
-lowers the relative error, and decays the step after a run of failed moves.
-No candidate costs an eigendecomposition or an n x n product. A move whose
-rows of V are all zero on the input support (rows that carry no input, as
-most do at the identity start with a blank ancilla) leaves V K and so the
-value exactly unchanged: it is scored at the current value and rejected,
-with no copy of V and no channel evaluation. Every evaluation the channel
-makes is compared against the closed-form lower bound; dipping below it
-raises instead of reporting, because the bound is a theorem.
+lowers the relative error. The step schedule is fixed, not configured:
+the angle starts at 0.5 rad, shrinks by 0.9 after a run of failed moves,
+and a restart stops once it falls below 1e-9. No candidate costs an
+eigendecomposition or an n x n product. A move whose rows of V are all
+zero on the input support (rows that carry no input, as most do at the
+identity start with a blank ancilla) leaves V K and so the value exactly
+unchanged: it is scored at the current value and rejected, with no copy
+of V and no channel evaluation. Every evaluation the channel makes is
+compared against the closed-form lower bound; dipping below it raises
+instead of reporting, because the bound is a theorem.
 """
 
 from __future__ import annotations
@@ -61,18 +63,14 @@ def _fmt17(x: float) -> str:
 class OptimizerConfig:
     """Budget and seeding for the unitary search.
 
-    ``initial_step`` is the first rotation angle of a move, in radians;
-    ``step_decay`` multiplies the angle after a run of failed moves, and the
-    walk of a restart stops once the angle falls below ``convergence_tol``.
-    Each restart takes at most ``iterations`` moves.
+    Each of ``restarts`` restarts takes at most ``iterations`` moves and
+    draws its start and moves from ``seed``; the walk's step schedule is
+    fixed, not configured.
     """
 
     restarts: int = 4
     iterations: int = 500
-    initial_step: float = 0.5
-    step_decay: float = 0.9
     seed: int = 0
-    convergence_tol: float = 1e-9
 
     def __post_init__(self):
         if int(self.restarts) < 1 or int(self.iterations) < 1:
@@ -80,12 +78,6 @@ class OptimizerConfig:
                 f"restarts={self.restarts}, iterations={self.iterations} "
                 "must both be >= 1"
             )
-        if not self.initial_step > 0.0:
-            raise OutOfRange(f"initial_step {self.initial_step} must be > 0")
-        if not 0.0 < self.step_decay < 1.0:
-            raise OutOfRange(f"step_decay {self.step_decay} outside (0, 1)")
-        if not self.convergence_tol > 0.0:
-            raise OutOfRange(f"convergence_tol {self.convergence_tol} must be > 0")
         if int(self.seed) < 0:
             raise OutOfRange(f"seed {self.seed} must be >= 0")
 
@@ -176,6 +168,14 @@ def _rotate(v: np.ndarray, k: int, angle: float, pairs) -> np.ndarray:
     return out
 
 
+# The walk's step schedule: each restart starts at _START_STEP radians, the
+# angle shrinks by _STEP_DECAY after a run of fail_limit = max(8, n^2 / 8)
+# failed moves, and the restart stops once it falls below _STOP_STEP.
+_START_STEP = 0.5
+_STEP_DECAY = 0.9
+_STOP_STEP = 1e-9
+
+
 def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                             upsilon1: DensityMatrix, upsilon2: DensityMatrix,
                             dims: tuple = (1, 2, None),
@@ -213,10 +213,10 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
         trace = [cur]
         # live[j]: row j of V is nonzero on the input support
         live = v[:, support].any(axis=1).tolist()
-        step = float(cfg.initial_step)
+        step = _START_STEP
         fails = 0
         for _ in range(int(cfg.iterations)):
-            if step < cfg.convergence_tol:
+            if step < _STOP_STEP:
                 break
             k = int(rng.integers(n_params))
             sign = -1.0 if rng.random() < 0.5 else 1.0
@@ -235,7 +235,7 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
             else:
                 fails += 1
                 if fails >= fail_limit:
-                    step *= cfg.step_decay
+                    step *= _STEP_DECAY
                     fails = 0
             trace.append(cur)
         traces.append(trace)
@@ -463,9 +463,8 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     trials as (batch, d, d) stacks, CHUNK at a time. Margins are lhs - rhs;
     any margin not at or below the slack, NaN included, counts as a
     violation. Only the worst trial (the first maximum, or the first NaN) is
-    validated as objects and serialized into the report: the four together,
-    on the first use of any check's worst_case, so a report written as CSV
-    serializes none.
+    validated as objects and serialized into the report, on the first use of
+    its check's worst_case, so a report written as CSV serializes none.
     """
     d = int(d)
     trials = int(trials)
@@ -478,9 +477,7 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
         raise OutOfRange(f"seed {seed} must be >= 0")
     rng = np.random.default_rng([seed, d])
     report = VerificationReport(d=d, trials=trials, seed=seed, slack=SLACK)
-    describes = []  # the worst trial's describe, per family
-    worst_cases = functools.cache(lambda: [describe() for describe in describes])
-    for k, (name, family) in enumerate(_FAMILIES):
+    for name, family in _FAMILIES:
         violations = 0
         worst = None  # (margin, describe of its chunk, index in the chunk)
         for start in range(0, trials, CHUNK):
@@ -491,9 +488,8 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
             # larger margin, or with a NaN over a number
             if worst is None or np.argmax([worst[0], margins[i]]) == 1:
                 worst = (margins[i], describe, i)
-        describes.append(functools.partial(worst[1], worst[2]))
         report.checks.append(InequalityCheck(name, trials, violations, float(worst[0]),
-                                             lambda k=k: worst_cases()[k]))
+                                             functools.partial(worst[1], worst[2])))
     return report
 
 

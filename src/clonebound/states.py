@@ -13,7 +13,7 @@ found by a scalar root search and the unitary is built once, at the root.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +36,14 @@ from .serialize import (
 
 RANK_CUTOFF = 1e-12
 TOL_ROOT = 1e-10
+TOL_UNIT = 1e-10  # how far a trace or a norm may stray from 1
 _BRACKET_SAMPLES = 64
 
 
 def _require_density(m: np.ndarray) -> None:
     """The density-matrix invariants on each matrix of a (..., d, d) stack:
     Hermitian within TOL_HERM, lowest eigenvalue >= -TOL_PSD, trace 1 within
-    1e-10."""
+    TOL_UNIT."""
     linalg.require_hermitian(m)
     low = np.linalg.eigvalsh(m)[..., 0].min()
     if low < -linalg.TOL_PSD:
@@ -51,19 +52,19 @@ def _require_density(m: np.ndarray) -> None:
 
 
 def _require_unit_trace(m: np.ndarray) -> None:
-    """Trace 1 within 1e-10 for each matrix of a (..., d, d) stack."""
+    """Trace 1 within TOL_UNIT for each matrix of a (..., d, d) stack."""
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
-    if off.max() > 1e-10:
-        raise NotDensity(f"trace {complex(tr.flat[off.argmax()])} not 1 within 1e-10")
+    if off.max() > TOL_UNIT:
+        raise NotDensity(f"trace {complex(tr.flat[off.argmax()])} not 1 within {TOL_UNIT}")
 
 
 def _require_unit(amp: np.ndarray) -> None:
-    """Unit norm within 1e-10 for each vector of a (..., d) stack."""
+    """Unit norm within TOL_UNIT for each vector of a (..., d) stack."""
     n = np.linalg.norm(amp, axis=-1)
     off = np.abs(n - 1.0)
-    if off.max() > 1e-10:
-        raise NotDensity(f"norm {float(n.flat[off.argmax()])} not 1 within 1e-10")
+    if off.max() > TOL_UNIT:
+        raise NotDensity(f"norm {float(n.flat[off.argmax()])} not 1 within {TOL_UNIT}")
 
 
 class DensityMatrix:
@@ -119,7 +120,7 @@ class PureState:
     def density(self) -> DensityMatrix:
         """|y><y| as a DensityMatrix.
 
-        Of the density invariants only the trace |y|^2 = 1 within 1e-10 is
+        Of the density invariants only the trace |y|^2 = 1 within TOL_UNIT is
         checked: the state has passed the finiteness and dimension checks,
         and a rank-one outer product is PSD. The outer product is Hermitian
         only to rounding, so its strict upper triangle is replaced by the
@@ -151,10 +152,6 @@ class OverlapUnitaryResult:
     v: np.ndarray
     achieved_overlap: float
     path_parameter: float
-    # (sqrt(rho1), sqrt(rho2)) behind v, so purifications_with_overlap
-    # need not take the square roots a second time
-    _roots: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
 
 
 def _check_same_dim(chi: DensityMatrix, omega: DensityMatrix) -> int:
@@ -285,10 +282,24 @@ def _roots(rho1: DensityMatrix, rho2: DensityMatrix):
     return linalg._sqrt_psd(rho1.matrix), linalg._sqrt_psd(rho2.matrix)
 
 
-def _overlap_svd(a: np.ndarray, b: np.ndarray):
+def _cyclic_shift(d: int) -> np.ndarray:
+    # permutation with zero diagonal for d >= 2: e_j -> e_{(j+1) mod d}
+    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+
+
+def _overlap_frame(a: np.ndarray, b: np.ndarray):
+    """M = a b, its singular values s, Q P^dagger and Q C P^dagger, for the
+    SVD M = P diag(s) Q^dagger and C the cyclic shift: the unitaries of
+    maximal and of zero overlap Tr(M V)."""
     m = a @ b
     p, s, qh = np.linalg.svd(m)
-    return m, p, s, qh
+    q, ph = qh.conj().T, p.conj().T
+    return m, s, q @ ph, q @ _cyclic_shift(a.shape[0]) @ ph
+
+
+def _result(m: np.ndarray, v: np.ndarray, t: float) -> OverlapUnitaryResult:
+    """v with its overlap |Tr(M v)| and path parameter t."""
+    return OverlapUnitaryResult(v, float(abs(np.trace(m @ v))), t)
 
 
 def max_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUnitaryResult:
@@ -298,14 +309,8 @@ def max_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUnit
     which turns the trace into the sum of singular values.
     """
     _check_same_dim(rho1, rho2)
-    m, p, _, qh = _overlap_svd(*_roots(rho1, rho2))
-    v = qh.conj().T @ p.conj().T
-    return OverlapUnitaryResult(v, float(abs(np.trace(m @ v))), 1.0)
-
-
-def _cyclic_shift(d: int) -> np.ndarray:
-    # permutation with zero diagonal for d >= 2: e_j -> e_{(j+1) mod d}
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    m, _, v_max, _ = _overlap_frame(*_roots(rho1, rho2))
+    return _result(m, v_max, 1.0)
 
 
 def zero_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUnitaryResult:
@@ -317,9 +322,8 @@ def zero_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUni
     d = _check_same_dim(rho1, rho2)
     if d < 2:
         raise DimTooSmall("no zero-overlap unitary in dimension 1")
-    m, p, _, qh = _overlap_svd(*_roots(rho1, rho2))
-    v = qh.conj().T @ _cyclic_shift(d) @ p.conj().T
-    return OverlapUnitaryResult(v, float(abs(np.trace(m @ v))), 0.0)
+    m, _, _, v_zero = _overlap_frame(*_roots(rho1, rho2))
+    return _result(m, v_zero, 0.0)
 
 
 def _root_phases(d: int) -> np.ndarray:
@@ -361,29 +365,17 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     if d < 2:
         raise DimTooSmall("dimension 1 admits only overlap 1")
     target = float(phi)
-    roots = _roots(rho1, rho2)
-    res = _walk_to_overlap(*roots, target)
-    res._roots = roots
-    return res
-
-
-def _walk_to_overlap(a: np.ndarray, b: np.ndarray,
-                     target: float) -> OverlapUnitaryResult:
-    """target_overlap_unitary on the square roots a = sqrt(rho1), b = sqrt(rho2)."""
-    d = a.shape[0]
-    m, p, s, qh = _overlap_svd(a, b)
+    m, s, v_max, v_zero = _overlap_frame(*_roots(rho1, rho2))
     sum_s = float(np.sum(s))
     sqrt_f = min(sum_s, 1.0)
     if not -1e-12 <= target <= sqrt_f + 1e-9:
         raise TargetOutOfRange(f"phi={target} outside [0, sqrt(F)={sqrt_f}]")
     target = min(max(target, 0.0), sqrt_f)
 
-    v_max = qh.conj().T @ p.conj().T
-    v_zero = qh.conj().T @ _cyclic_shift(d) @ p.conj().T
     if target <= TOL_ROOT:
-        return OverlapUnitaryResult(v_zero, float(abs(np.trace(m @ v_zero))), 0.0)
+        return _result(m, v_zero, 0.0)
     if target >= sqrt_f - TOL_ROOT:
-        return OverlapUnitaryResult(v_max, float(abs(np.trace(m @ v_max))), 1.0)
+        return _result(m, v_max, 1.0)
 
     ts = np.linspace(0.0, 1.0, _BRACKET_SAMPLES)
     gs = sum_s * _path_profile(ts, d)
@@ -406,7 +398,7 @@ def _walk_to_overlap(a: np.ndarray, b: np.ndarray,
         else:
             lo, g_lo = mid, g_mid
     v = v_zero @ linalg.unitary_power(v_zero.conj().T @ v_max, mid)
-    return OverlapUnitaryResult(v, float(abs(np.trace(m @ v))), float(mid))
+    return _result(m, v, float(mid))
 
 
 def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -416,11 +408,11 @@ def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
     Both marginals over the second factor recover the inputs; phi can be any
     value in [0, sqrt(F(rho1, rho2))].
     """
-    res = target_overlap_unitary(rho1, rho2, phi)
-    a, b = res._roots
+    v = target_overlap_unitary(rho1, rho2, phi).v
+    a, b = _roots(rho1, rho2)
     # amp[x*d + i] = A[x, i] purifies A A^dagger with overlap Tr(A^dagger B)
     y1 = a.reshape(-1)
-    y2 = (b @ res.v).reshape(-1)
+    y2 = (b @ v).reshape(-1)
     return (PureState(y1 / np.linalg.norm(y1)),
             PureState(y2 / np.linalg.norm(y2)))
 

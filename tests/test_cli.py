@@ -292,6 +292,8 @@ def test_optimize_integral_floats_still_read_as_ints(tmp_path, capsys):
 @pytest.mark.parametrize("value", [True, False])
 @pytest.mark.parametrize("key", ["initial_step", "step_decay", "convergence_tol"])
 def test_optimize_refuses_a_bool_number_key(tmp_path, capsys, key, value):
+    # these were optimize's number keys; retired, they are refused whatever
+    # their value
     _, r1, r2 = _states_file(tmp_path)
     cfg = tmp_path / "opt.json"
     cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
@@ -303,18 +305,33 @@ def test_optimize_refuses_a_bool_number_key(tmp_path, capsys, key, value):
     assert f'"{key}"' in captured.err
 
 
-def test_optimize_integer_number_keys_read_as_floats(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("initial_step", 0.5), ("step_decay", 0.9),
+                                        ("convergence_tol", 1e-9)])
+def test_optimize_refuses_a_retired_schedule_key(tmp_path, capsys, key, value):
+    # even the value the fixed schedule uses: the key itself is refused
     _, r1, r2 = _states_file(tmp_path)
     cfg = tmp_path / "opt.json"
-    base = {"rho1": r1.to_dict(), "rho2": r2.to_dict(), "restricted": True,
-            "iterations": 10, "restarts": 1, "step_decay": 0.5}
-    cfg.write_text(json.dumps({**base, "initial_step": 2.0, "convergence_tol": 1e-3}))
-    assert main(["optimize", "--config", str(cfg)]) == 0
-    as_floats = capsys.readouterr().out
-    cfg.write_text(json.dumps({**base, "initial_step": 2, "convergence_tol": 1e-3}))
-    assert main(["optimize", "--config", str(cfg)]) == 0
-    assert capsys.readouterr().out == as_floats
-    assert json.loads(as_floats)["config"]["initial_step"] == 2.0
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "restricted": True, "iterations": 5, "restarts": 1,
+                               key: value}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err and "retired" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--initial-step", "--step-decay", "--convergence-tol"])
+def test_optimize_has_no_step_flags(tmp_path, capsys, flag):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "restricted": True, "iterations": 5, "restarts": 1}))
+    assert main(["optimize", "--config", str(cfg), flag, "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert main(["optimize", "--help"]) == 0
+    assert flag not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", ["no", 0.0, 1, None])
@@ -379,6 +396,8 @@ def test_sweep_refuses_a_fractional_or_bool_integer_key(tmp_path, capsys, key, v
 _NOT_NUMBERS = ["1", "2.0", None, [1]]
 
 
+# initial_step, step_decay and convergence_tol are retired: refused whatever
+# their value
 @pytest.mark.parametrize("value", _NOT_NUMBERS)
 @pytest.mark.parametrize("key", ["restarts", "iterations", "initial_step", "step_decay",
                                  "seed", "convergence_tol", "n", "l", "env"])

@@ -174,9 +174,8 @@ def test_unitary_power_deterministic_on_degenerate_spectrum():
 
 
 def test_no_public_callable_takes_a_tolerance_override():
-    # tolerances are module constants; only the search's convergence_tol,
-    # a run setting, stays configurable
-    names = {"tol", "tol_herm", "tol_psd", "tol_root"}
+    # tolerances are module constants
+    names = {"tol", "tol_herm", "tol_psd", "tol_root", "convergence_tol"}
     for mod in ("cli", "cloning", "linalg", "measure", "search", "serialize", "states"):
         module = importlib.import_module(f"clonebound.{mod}")
         for name, obj in vars(module).items():
