@@ -27,7 +27,7 @@ from .errors import (
 )
 from .search import (
     OptimizerConfig,
-    _blank_ancilla,
+    _csv_table,
     _fmt17,
     minimize_relative_error,
     restricted_cloner_search,
@@ -36,7 +36,7 @@ from .search import (
     sweep_to_json,
     verify_inequalities,
 )
-from .states import DensityMatrix, purifications_with_overlap
+from .states import DensityMatrix, _blank_ancilla, purifications_with_overlap
 
 _DOMAIN_ERRORS = (TargetOutOfRange, DegeneratePair, IndistinguishablePair,
                   SoundnessViolation)
@@ -135,6 +135,14 @@ def _typed(value, key: str, kind: type):
     return kind(value)
 
 
+def _refuse_unknown_keys(doc: dict, known) -> None:
+    """Refuse a config key outside ``known`` rather than silently ignore it."""
+    for key in doc:
+        if key not in known:
+            raise OutOfRange(f'config key "{key}" is unknown; the keys are '
+                             + ", ".join(known))
+
+
 def _state_from(doc: dict, key: str) -> DensityMatrix:
     if key not in doc:
         raise OutOfRange(f'config is missing the "{key}" state')
@@ -175,26 +183,22 @@ def cmd_purify(args) -> int:
     return 0
 
 
-def _optimize_result_csv(result) -> str:
-    header = "best_r,bound,gap,f,phi,n_in,n_out,env_dim,evaluations"
-    row = ",".join([
-        _fmt17(result.best_r), _fmt17(result.bound), _fmt17(result.gap),
-        _fmt17(result.f), _fmt17(result.phi), str(result.n_in),
-        str(result.n_out), str(result.env_dim), str(result.evaluations),
-    ])
-    return header + "\n" + row + "\n"
+_OPTIMIZE_KEYS = ("rho1", "rho2", "n", "l", "env", "upsilon1", "upsilon2", "restricted",
+                  *(f.name for f in dataclasses.fields(OptimizerConfig)))
+_OPTIMIZE_CSV = "best_r,bound,gap,f,phi,n_in,n_out,env_dim,evaluations"
 
 
 def cmd_optimize(args) -> int:
     doc = _load_json(args.config)
-    rho1 = _state_from(doc, "rho1")
-    rho2 = _state_from(doc, "rho2")
     # the step schedule is fixed: a config that still sets one of its retired
     # keys is refused rather than silently run with another walk than it asked for
     for key in ("initial_step", "step_decay", "convergence_tol"):
         if key in doc:
             raise OutOfRange(f'config key "{key}" is retired: the search\'s step '
                              "schedule is fixed")
+    _refuse_unknown_keys(doc, _OPTIMIZE_KEYS)
+    rho1 = _state_from(doc, "rho1")
+    rho2 = _state_from(doc, "rho2")
     cfg = OptimizerConfig(**{
         f.name: _typed(_pick(getattr(args, f.name), doc, f.name, f.default), f.name,
                        type(f.default))
@@ -205,6 +209,13 @@ def cmd_optimize(args) -> int:
         raise OutOfRange(f'config key "restricted" must be true or false, '
                          f'got {restricted!r}')
     if restricted:
+        # a key the restricted search would ignore is refused, unless it says
+        # what that search fixes: n = 1, l = 2, env = 1 and a blank ancilla
+        for key, fixed in (("upsilon1", None), ("upsilon2", None), ("n", 1), ("l", 2),
+                           ("env", 1)):
+            if key in doc and (fixed is None or _typed(doc[key], key, int) != fixed):
+                raise OutOfRange(f'config key "{key}" does not fit a restricted search, '
+                                 "which is 1 -> 2 with a blank ancilla and no environment")
         result = restricted_cloner_search(rho1, rho2, cfg)
     else:
         d = rho1.dim
@@ -231,24 +242,26 @@ def cmd_optimize(args) -> int:
         result = minimize_relative_error(rho1, rho2, ups1, ups2,
                                          dims=(n_in, n_out, env_dim), cfg=cfg)
     if args.format == "csv":
-        _write(_optimize_result_csv(result), args.out)
+        row = [getattr(result, key) for key in _OPTIMIZE_CSV.split(",")]
+        _write(_csv_table(_OPTIMIZE_CSV, [row]), args.out)
     else:
         _write(result.to_json(), args.out)
     return 0
 
 
+# a sweep config's keys, each with its default, whose type is the key's type
+_SWEEP_DEFAULTS = {"f_min": 0.0, "f_max": 0.99, "points": 100, "phi": 1.0, "n": 1, "l": 2}
+
+
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config) if args.config else {}
-    f_min = _typed(_pick(args.f_min, doc, "f_min", 0.0), "f_min", float)
-    f_max = _typed(_pick(args.f_max, doc, "f_max", 0.99), "f_max", float)
-    points = _typed(_pick(args.points, doc, "points", 100), "points", int)
-    phi = _typed(_pick(args.phi, doc, "phi", 1.0), "phi", float)
-    n_in = _typed(_pick(args.n, doc, "n", 1), "n", int)
-    n_out = _typed(_pick(args.l, doc, "l", 2), "l", int)
-    if points < 1:
-        raise OutOfRange(f"points={points} must be >= 1")
-    grid = np.linspace(f_min, f_max, points)
-    rows = sweep_bound(grid, phi, n_in, n_out)
+    _refuse_unknown_keys(doc, _SWEEP_DEFAULTS)
+    v = {key: _typed(_pick(getattr(args, key), doc, key, default), key, type(default))
+         for key, default in _SWEEP_DEFAULTS.items()}
+    if v["points"] < 1:
+        raise OutOfRange(f"points={v['points']} must be >= 1")
+    grid = np.linspace(v["f_min"], v["f_max"], v["points"])
+    rows = sweep_bound(grid, v["phi"], v["n"], v["l"])
     text = sweep_to_json(rows) if args.format == "json" else sweep_to_csv(rows)
     _write(text, args.out)
     return 0

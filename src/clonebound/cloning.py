@@ -11,6 +11,7 @@ that bound is enforced at runtime as a soundness check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -40,17 +41,7 @@ from .states import (
 
 DEGENERATE_TOL = 1e-12
 SOUNDNESS_TOL = 1e-8
-CHAIN_SLACK = 1e-9
-
-
-def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
-    """k-fold tensor power of a density matrix; the first power is rho itself."""
-    if int(k) < 1:
-        raise OutOfRange(f"tensor power {k} must be >= 1")
-    if int(k) == 1:
-        return rho
-    m = reduce(linalg.kron, [rho.matrix] * int(k))
-    return DensityMatrix(m)
+CHAIN_SLACK = 1e-9  # how far an inequality's lhs may exceed its rhs and still hold
 
 
 @dataclass(frozen=True)
@@ -67,23 +58,59 @@ class BoundInput:
             raise OutOfRange(f"f={self.f} outside [0, 1]")
         if not 0.0 <= self.phi <= 1.0:
             raise OutOfRange(f"phi={self.phi} outside [0, 1]")
-        if self.n_in < 1 or self.n_out <= self.n_in:
-            raise OutOfRange(
-                f"need n_out > n_in >= 1, got n_in={self.n_in}, n_out={self.n_out}"
-            )
+        n_in, n_out = _copy_count_rule(self.n_in, self.n_out)
+        object.__setattr__(self, "n_in", n_in)
+        object.__setattr__(self, "n_out", n_out)
+
+
+def _integral(value, name: str) -> int:
+    """A count as an int: an int, a numpy integer or an integral float reads
+    as its value, and anything else, a fractional value included, is
+    refused rather than truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRange(f"{name} must be an integer, got {value!r}")
+
+
+def _copy_count_rule(n_in, n_out) -> tuple[int, int]:
+    """(n_in, n_out) as ints by the one copy-count rule: both integral, and
+    n_out > n_in >= 1."""
+    n_in, n_out = _integral(n_in, "n_in"), _integral(n_out, "n_out")
+    if n_in < 1 or n_out <= n_in:
+        raise OutOfRange(f"need n_out > n_in >= 1, got n_in={n_in}, n_out={n_out}")
+    return n_in, n_out
 
 
 # d^L <= MAX_DIM with d >= 2 needs L <= log2(MAX_DIM)
 _MAX_OUTPUTS = linalg.MAX_DIM.bit_length() - 1
 
 
+def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
+    """k-fold tensor power of a density matrix; the first power is rho itself.
+
+    A power whose dimension d^k exceeds linalg.MAX_DIM is refused before any
+    Kronecker product is formed.
+    """
+    k = _integral(k, "tensor power")
+    if k < 1:
+        raise OutOfRange(f"tensor power {k} must be >= 1")
+    if k == 1:
+        return rho
+    # d >= 2 passes the cap only at k <= _MAX_OUTPUTS, so d^k stays small
+    if rho.dim ** min(k, _MAX_OUTPUTS + 1) > linalg.MAX_DIM:
+        raise DimTooLarge(f"tensor power {k} of dimension {rho.dim} exceeds the cap "
+                          f"{linalg.MAX_DIM}")
+    return DensityMatrix(_kron_power(rho.matrix, k))
+
+
 def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int):
     """(d, n_in, n_out) by the part of _problem_dims's rule that forms no
-    power of d: n_out > n_in >= 1, both inputs on C^d, and for d >= 2 at most
+    power of d: the copy-count rule, both inputs on C^d, and for d >= 2 at most
     log2(linalg.MAX_DIM) outputs, so that d^L can be formed at all."""
-    n_in, n_out = int(n_in), int(n_out)
-    if n_in < 1 or n_out <= n_in:
-        raise OutOfRange(f"need n_out > n_in >= 1, got {n_in} -> {n_out}")
+    n_in, n_out = _copy_count_rule(n_in, n_out)
     d = _check_same_dim(rho1, rho2)
     if d > 1 and n_out > _MAX_OUTPUTS:
         raise DimTooLarge(f"{n_out} outputs give d^L >= 2^{n_out}, over the cap "
@@ -116,6 +143,9 @@ def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix, anc_dims: tuple,
     if total > linalg.MAX_DIM:
         raise DimTooLarge(f"total dim d^L*e = {total} exceeds {linalg.MAX_DIM}")
     return n_in, n_out, env_dim, total
+
+
+_STATE_KEYS = ("rho1", "rho2", "upsilon1", "upsilon2")
 
 
 class CloningSetup:
@@ -181,20 +211,14 @@ class CloningSetup:
             "n_in": self.n_in,
             "n_out": self.n_out,
             "env_dim": self.env_dim,
-            "rho1": self.rho1.to_dict(),
-            "rho2": self.rho2.to_dict(),
-            "upsilon1": self.upsilon1.to_dict(),
-            "upsilon2": self.upsilon2.to_dict(),
+            **{key: getattr(self, key).to_dict() for key in _STATE_KEYS},
             "v": {"dim": self.total_dim, "entries": matrix_to_entries(self.v)},
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CloningSetup":
         return cls(
-            DensityMatrix.from_dict(doc["rho1"]),
-            DensityMatrix.from_dict(doc["rho2"]),
-            DensityMatrix.from_dict(doc["upsilon1"]),
-            DensityMatrix.from_dict(doc["upsilon2"]),
+            *(DensityMatrix.from_dict(doc[key]) for key in _STATE_KEYS),
             entries_to_matrix(doc["v"]["entries"], doc["v"]["dim"]),
             doc["n_in"], doc["n_out"], doc["env_dim"],
         )
@@ -212,14 +236,7 @@ class CloneOutcome:
     relative_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "out1": self.out1.to_dict(),
-            "out2": self.out2.to_dict(),
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "absolute_error": self.absolute_error,
-            "relative_error": self.relative_error,
-        }
+        return {**vars(self), "out1": self.out1.to_dict(), "out2": self.out2.to_dict()}
 
 
 def absolute_error(delta1: float, delta2: float) -> float:
@@ -234,7 +251,7 @@ def absolute_error(delta1: float, delta2: float) -> float:
 
 def _kron_power(k: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a matrix, unvalidated."""
-    return reduce(np.kron, [k] * n)
+    return reduce(np.kron, itertools.repeat(k, n))
 
 
 def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
@@ -362,7 +379,7 @@ def lower_bound(f: float, phi: float, n_in: int = 1, n_out: int = 2) -> float:
     f^N * phi - f^L * sqrt(1 - f^(2N) phi^2) / sqrt(1 - f^(2L)).
     The branch split alone keeps the value nonnegative; no clamp is applied.
     """
-    b = BoundInput(float(f), float(phi), int(n_in), int(n_out))
+    b = BoundInput(float(f), float(phi), n_in, n_out)
     if b.f >= 1.0 - DEGENERATE_TOL:
         raise DegeneratePair("bound undefined at f = 1 (coinciding inputs)")
     m_extra = b.n_out - b.n_in

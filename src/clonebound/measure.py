@@ -22,7 +22,7 @@ from .errors import (
     OutOfRange,
 )
 from .serialize import entries_to_matrix, matrix_to_entries
-from .states import DensityMatrix, PureState, _ginibre
+from .states import DensityMatrix, PureState, _blank_ancilla, _ginibre
 
 TOL_SUM = 1e-9  # how far POVM elements may sum from I, or probabilities from 1
 TOL_PROB = 1e-12  # the largest imaginary part or negative value a probability clamps
@@ -92,7 +92,7 @@ class POVM:
         return len(self.elements)
 
     def __repr__(self) -> str:
-        return f"POVM(dim={self.dim}, outcomes={self.outcomes})"
+        return f"{type(self).__name__}(dim={self.dim}, outcomes={self.outcomes})"
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
@@ -103,10 +103,11 @@ class POVM:
         return cls([entries_to_matrix(e, doc["dim"]) for e in doc["elements"]])
 
 
-class ProjectiveMeasurement:
-    """Mutually orthogonal projectors summing to the identity."""
+class ProjectiveMeasurement(POVM):
+    """Mutually orthogonal projectors summing to the identity: a POVM whose
+    elements are its projectors."""
 
-    __slots__ = ("projectors",)
+    __slots__ = ()
 
     def __init__(self, projectors):
         projs = [linalg.as_matrix(p) for p in projectors]
@@ -123,18 +124,11 @@ class ProjectiveMeasurement:
                     raise NotProjector(f"projectors {i},{j} not orthogonal")
         if np.linalg.norm(sum(projs) - np.eye(d)) > TOL_PROJ:
             raise NotProjector("projectors do not sum to identity")
-        self.projectors = projs
+        self.elements = projs
 
     @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    @property
-    def outcomes(self) -> int:
-        return len(self.projectors)
-
-    def __repr__(self) -> str:
-        return f"ProjectiveMeasurement(dim={self.dim}, outcomes={self.outcomes})"
+    def projectors(self) -> list[np.ndarray]:
+        return self.elements
 
 
 @dataclass
@@ -145,9 +139,9 @@ class DilationResult:
     ancilla: DensityMatrix
 
 
-def probabilities(measurement, rho: DensityMatrix) -> list[float]:
-    """Born-rule outcome probabilities Tr(E_a rho) of a POVM or a
-    ProjectiveMeasurement.
+def probabilities(measurement: POVM, rho: DensityMatrix) -> list[float]:
+    """Born-rule outcome probabilities Tr(E_a rho) of a POVM, a
+    ProjectiveMeasurement included.
 
     Tiny negative values (>= -TOL_PROB) clamp to zero; anything worse, an
     imaginary residue above TOL_PROB, or a total off 1 by more than TOL_SUM
@@ -155,9 +149,7 @@ def probabilities(measurement, rho: DensityMatrix) -> list[float]:
     """
     if measurement.dim != rho.dim:
         raise DimMismatch(f"measurement dim {measurement.dim} != state dim {rho.dim}")
-    elems = (measurement.projectors if isinstance(measurement, ProjectiveMeasurement)
-             else measurement.elements)
-    return _probabilities(np.stack(elems), rho.matrix).tolist()
+    return _probabilities(np.stack(measurement.elements), rho.matrix).tolist()
 
 
 def _probabilities(elems: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -190,8 +182,9 @@ def naimark_dilate(povm: POVM) -> DilationResult:
     The isometry W|psi> = sum_a (sqrt(E_a)|psi>) (x) |a> is polished to exact
     column orthonormality and completed to a unitary U by the orthonormal
     complement from one complete QR of W, placed in the columns W leaves
-    free, in order; the projectors are U^dagger (1 (x) |a><a|) U and the
-    ancilla is |0><0| on C^m.
+    free, in order; the projectors are U^dagger (1 (x) |a><a|) U, each formed
+    as the Gram product of U's rows for outcome a, and the ancilla is |0><0|
+    on C^m.
     """
     d = povm.dim
     m = povm.outcomes
@@ -216,13 +209,11 @@ def naimark_dilate(povm: POVM) -> DilationResult:
 
     projs = []
     for a in range(m):
-        anc = np.zeros((m, m), dtype=complex)
-        anc[a, a] = 1.0
-        pi = u.conj().T @ linalg.kron(np.eye(d), anc) @ u
+        # 1 (x) |a><a| keeps the rows rows + a of U and zeroes the rest
+        block = u[rows + a]
+        pi = block.conj().T @ block
         projs.append((pi + pi.conj().T) / 2.0)
-    sigma = np.zeros((m, m), dtype=complex)
-    sigma[0, 0] = 1.0
-    return DilationResult(ProjectiveMeasurement(projs), DensityMatrix(sigma))
+    return DilationResult(ProjectiveMeasurement(projs), _blank_ancilla(m))
 
 
 def dilated_probabilities(dilation: DilationResult, rho: DensityMatrix) -> list[float]:

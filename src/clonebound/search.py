@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .cloning import CHAIN_SLACK as SLACK  # verify's slack is the proof chain's
 from .cloning import SOUNDNESS_TOL, _Channel, _problem_dims, lower_bound
 from .errors import BudgetZero, OutOfRange, SoundnessViolation
 from .linalg import _dagger, _frobenius
@@ -43,6 +44,7 @@ from .states import (
     PureState,
     _angle,
     _angle_pure_stack,
+    _blank_ancilla,
     _bures,
     _density_from_factor,
     _fidelity,
@@ -52,11 +54,17 @@ from .states import (
     fidelity,  # noqa: F401  (search.fidelity stays importable)
 )
 
-SLACK = 1e-9
-
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _csv_table(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of cells; a float
+    cell is written with 17 significant digits and any other cell with str."""
+    lines = [header] + [",".join(_fmt17(x) if isinstance(x, float) else str(x)
+                                 for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -109,19 +117,8 @@ class SearchResult:
 
     def _head(self) -> dict:
         """Every key of the report but ``best_v``, which comes last."""
-        return {
-            "best_r": self.best_r,
-            "bound": self.bound,
-            "gap": self.gap,
-            "f": self.f,
-            "phi": self.phi,
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "env_dim": self.env_dim,
-            "evaluations": self.evaluations,
-            "restart_traces": self.restart_traces,
-            "config": self.config.to_dict(),
-        }
+        head = {k: v for k, v in vars(self).items() if k != "best_v"}
+        return {**head, "config": self.config.to_dict()}
 
     def to_dict(self) -> dict:
         return {**self._head(), "best_v": {"dim": self.best_v.shape[0],
@@ -262,13 +259,6 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
     )
 
 
-def _blank_ancilla(dim: int) -> DensityMatrix:
-    """The pure blank register |0><0| on C^dim."""
-    blank = np.zeros((dim, dim), dtype=complex)
-    blank[0, 0] = 1.0
-    return DensityMatrix(blank)
-
-
 def restricted_cloner_search(rho1: DensityMatrix, rho2: DensityMatrix,
                              cfg: OptimizerConfig | None = None) -> SearchResult:
     """Search restricted to two-register unitaries with a pure blank ancilla.
@@ -303,13 +293,8 @@ class InequalityCheck:
         return self._worst_case
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_margin": self.max_margin,
-            "worst_case": self.worst_case,
-        }
+        head = {k: v for k, v in vars(self).items() if k != "_worst_case"}
+        return {**head, "worst_case": self.worst_case}
 
 
 @dataclass
@@ -331,15 +316,10 @@ class VerificationReport:
         return float(np.max([c.max_margin for c in self.checks]))  # NaN propagates
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "trials": self.trials,
-            "seed": self.seed,
-            "slack": self.slack,
-            "violations": self.violations,
-            "max_slack_violation": self.max_slack_violation,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        head = {k: v for k, v in vars(self).items() if k != "checks"}
+        return {**head, "violations": self.violations,
+                "max_slack_violation": self.max_slack_violation,
+                "checks": [c.to_dict() for c in self.checks]}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "VerificationReport":
@@ -355,13 +335,9 @@ class VerificationReport:
         return json.dumps(self.to_dict())
 
     def to_csv(self) -> str:
-        lines = ["d,seed,slack,inequality,trials,violations,max_margin"]
-        for c in self.checks:
-            lines.append(",".join([
-                str(self.d), str(self.seed), _fmt17(self.slack), c.name,
-                str(c.trials), str(c.violations), _fmt17(c.max_margin),
-            ]))
-        return "\n".join(lines) + "\n"
+        return _csv_table("d,seed,slack,inequality,trials,violations,max_margin",
+                          [(self.d, self.seed, self.slack, c.name, c.trials,
+                            c.violations, c.max_margin) for c in self.checks])
 
 
 CHUNK = 1024  # trials drawn and checked per vectorised pass; bounds memory
@@ -521,13 +497,7 @@ def sweep_bound(f_grid, phi: float, n_in: int = 1, n_out: int = 2) -> list[Sweep
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
     """CSV with a header row and 17-significant-digit doubles."""
-    lines = ["f,phi,n_in,n_out,bound"]
-    for r in rows:
-        lines.append(",".join([
-            _fmt17(r.f), _fmt17(r.phi), str(r.n_in), str(r.n_out),
-            _fmt17(r.bound),
-        ]))
-    return "\n".join(lines) + "\n"
+    return _csv_table("f,phi,n_in,n_out,bound", [vars(r).values() for r in rows])
 
 
 def sweep_to_json(rows: list[SweepRow]) -> str:

@@ -99,6 +99,13 @@ class DensityMatrix:
         return cls(entries_to_matrix(doc["entries"], doc["dim"]))
 
 
+def _blank_ancilla(dim: int) -> DensityMatrix:
+    """The pure blank register |0><0| on C^dim."""
+    blank = np.zeros((dim, dim), dtype=complex)
+    blank[0, 0] = 1.0
+    return DensityMatrix(blank)
+
+
 class PureState:
     """A unit-norm state vector."""
 

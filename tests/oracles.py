@@ -100,6 +100,15 @@ def partial_trace_loop(m: np.ndarray, dims, keep) -> np.ndarray:
     return out
 
 
+def naimark_projector(u: np.ndarray, d: int, m: int, a: int) -> np.ndarray:
+    """U^dagger (1_d (x) |a><a|) U formed literally: two dense products with
+    the Kronecker-built ancilla projector, for the dilation unitary U on
+    C^d (x) C^m."""
+    anc = np.zeros((m, m), dtype=complex)
+    anc[a, a] = 1.0
+    return u.conj().T @ np.kron(np.eye(d), anc) @ u
+
+
 def expm_scipy(h: np.ndarray) -> np.ndarray:
     return sla.expm(1j * h)
 

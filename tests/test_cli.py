@@ -347,15 +347,77 @@ def test_optimize_refuses_a_non_bool_restricted(tmp_path, capsys, value):
     assert '"restricted"' in captured.err
 
 
-@pytest.mark.parametrize("extra, env_dim", [({}, 2), ({"restricted": False}, 2),
+# a restricted search has no environment, so its case sends no "env" (see
+# test_optimize_restricted_refuses_what_it_would_ignore)
+@pytest.mark.parametrize("extra, env_dim", [({"env": 2}, 2),
+                                            ({"env": 2, "restricted": False}, 2),
                                             ({"restricted": True}, 1)])
 def test_optimize_restricted_true_or_false(tmp_path, capsys, extra, env_dim):
     _, r1, r2 = _states_file(tmp_path)
     cfg = tmp_path / "opt.json"
     cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
-                               "iterations": 5, "restarts": 1, "env": 2, **extra}))
+                               "iterations": 5, "restarts": 1, **extra}))
     assert main(["optimize", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["env_dim"] == env_dim
+
+
+@pytest.mark.parametrize("key", ["restart", "iteration", "env_dim", "upsilon", "seeds"])
+def test_optimize_refuses_an_unknown_key(tmp_path, capsys, key):
+    # a misspelt key is refused, not ignored: {"restart": 10} must not run the
+    # default 4 restarts
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "restricted": True, "iterations": 5, key: 10}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err and "unknown" in captured.err
+
+
+@pytest.mark.parametrize("key", ["point", "f", "n_out", "format"])
+def test_sweep_refuses_an_unknown_key(tmp_path, capsys, key):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"points": 3, key: 2}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err and "unknown" in captured.err
+
+
+@pytest.mark.parametrize("extra, key", [
+    ({"env": 4}, "env"), ({"env": 2}, "env"), ({"n": 2}, "n"), ({"l": 3}, "l"),
+    ({"n": 2, "l": 3}, "n"), ({"env": 1.5}, "env"), ({"l": "2"}, "l"),
+    ({"upsilon1": None}, "upsilon1"), ({"upsilon2": None}, "upsilon2"),
+])
+def test_optimize_restricted_refuses_what_it_would_ignore(tmp_path, capsys, extra, key):
+    # the restricted search is 1 -> 2 with a blank ancilla and no environment,
+    # so a key that says otherwise is refused rather than ignored
+    _, r1, r2 = _states_file(tmp_path)
+    ups = DensityMatrix(np.eye(4, dtype=complex) / 4.0).to_dict()
+    extra = {k: ups if k.startswith("upsilon") else v for k, v in extra.items()}
+    cfg = tmp_path / "opt.json"
+    cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(),
+                               "restricted": True, "iterations": 5, "restarts": 1,
+                               **extra}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f'"{key}"' in captured.err
+
+
+def test_optimize_restricted_accepts_the_counts_it_fixes(tmp_path, capsys):
+    _, r1, r2 = _states_file(tmp_path)
+    cfg = tmp_path / "opt.json"
+    base = {"rho1": r1.to_dict(), "rho2": r2.to_dict(), "restricted": True,
+            "iterations": 5, "restarts": 1}
+    cfg.write_text(json.dumps(base))
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    plain = capsys.readouterr().out
+    for fixed in ({"n": 1, "l": 2}, {"n": 1.0, "l": 2.0, "env": 1}):
+        cfg.write_text(json.dumps({**base, **fixed}))
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("value", [True, False])

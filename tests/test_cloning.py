@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,51 @@ def test_tensor_power():
     assert tensor_power(rho, 1) is rho
     with pytest.raises(OutOfRange):
         tensor_power(rho, 0)
+
+
+def test_tensor_power_refuses_a_power_over_the_cap_before_any_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a Kronecker product was formed")
+
+    monkeypatch.setattr(cloning, "_kron_power", no_product)
+    monkeypatch.setattr(np, "kron", no_product)
+    qubit = _pure(0.3)  # 2^12 = 4096 is the cap, 2^13 is over it
+    qutrit = DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+    for rho, k in ((qubit, 13), (qutrit, 10 ** 7)):
+        start = time.perf_counter()
+        with pytest.raises(DimTooLarge):
+            tensor_power(rho, k)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n_in, n_out", [(1.7, 2.9), (1, 2.5), (1.5, 3), (1, "2")])
+def test_fractional_copy_counts_are_refused_not_truncated(n_in, n_out):
+    with pytest.raises(OutOfRange):
+        lower_bound(0.5, 1.0, n_in, n_out)
+    with pytest.raises(OutOfRange):
+        BoundInput(0.5, 1.0, n_in, n_out)
+    rho1, rho2 = _pure(0.0), _pure(0.4)
+    setup = perfect_cloning_setup(rho1, rho2, 0.2)
+    doc = dict(setup.to_dict(), n_in=n_in, n_out=n_out)
+    with pytest.raises(OutOfRange):
+        CloningSetup.from_dict(doc)
+    with pytest.raises(OutOfRange):
+        perfect_cloning_setup(rho1, rho2, 0.2, n_in, n_out)
+
+
+def test_integral_copy_counts_read_as_ints():
+    want = lower_bound(0.5, 1.0, 1, 3)
+    for n_in, n_out in ((1.0, 3.0), (np.int64(1), np.int64(3)), (np.float64(1), 3)):
+        assert lower_bound(0.5, 1.0, n_in, n_out) == want
+        b = BoundInput(0.5, 1.0, n_in, n_out)
+        assert (b.n_in, b.n_out) == (1, 3) and type(b.n_out) is int
+    setup = perfect_cloning_setup(_pure(0.0), _pure(0.4), 0.2)
+    again = CloningSetup.from_dict(dict(setup.to_dict(), n_in=1.0, n_out=2.0))
+    assert (again.n_in, again.n_out) == (1, 2) and type(again.n_in) is int
+    assert np.array_equal(tensor_power(_pure(0.3), 2.0).matrix,
+                          tensor_power(_pure(0.3), 2).matrix)
+    with pytest.raises(OutOfRange):
+        tensor_power(_pure(0.3), 2.5)
 
 
 def test_bound_input_validation():

@@ -141,6 +141,36 @@ def test_naimark_random_povm_agreement():
             assert max(abs(a - b) for a, b in zip(p, q)) <= 1e-10
 
 
+def test_naimark_projectors_match_the_conjugated_ancilla_projector(monkeypatch):
+    # capture the dilation unitary U as naimark_dilate checks it
+    seen = []
+    require_unitary = measure.linalg.require_unitary
+    monkeypatch.setattr(measure.linalg, "require_unitary",
+                        lambda u: (seen.append(u), require_unitary(u))[1])
+    rng = np.random.default_rng(19)
+    for _ in range(40):
+        d, m = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        dil = naimark_dilate(random_povm(d, m, seed=int(rng.integers(10**6))))
+        u = seen[-1]
+        assert dil.measurement.outcomes == m
+        for a, pi in enumerate(dil.measurement.projectors):
+            assert np.abs(pi - oracles.naimark_projector(u, d, m, a)).max() <= 1e-15
+
+
+def test_projective_measurement_is_a_povm():
+    rng = np.random.default_rng(23)
+    basis = oracles.haar_unitary(rng, 3)
+    projs = [np.outer(basis[:, k], basis[:, k].conj()) for k in range(3)]
+    meas = ProjectiveMeasurement(projs)
+    assert isinstance(meas, POVM)
+    assert meas.projectors is meas.elements
+    assert (meas.dim, meas.outcomes) == (3, 3)
+    assert repr(meas) == "ProjectiveMeasurement(dim=3, outcomes=3)"
+    for _ in range(10):
+        rho = DensityMatrix(oracles.random_density(rng, 3, int(rng.integers(1, 4))))
+        assert probabilities(meas, rho) == probabilities(POVM(projs), rho)
+
+
 def test_probability_deviation_bounded_by_sine():
     rng = np.random.default_rng(17)
     for _ in range(100):
