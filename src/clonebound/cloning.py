@@ -92,7 +92,8 @@ def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
     """k-fold tensor power of a density matrix; the first power is rho itself.
 
     A power whose dimension d^k exceeds linalg.MAX_DIM is refused before any
-    Kronecker product is formed.
+    Kronecker product is formed. The power carries the power of rho's
+    factor, and of the density invariants only its trace is checked.
     """
     k = _integral(k, "tensor power")
     if k < 1:
@@ -103,7 +104,8 @@ def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
     if rho.dim ** min(k, _MAX_OUTPUTS + 1) > linalg.MAX_DIM:
         raise DimTooLarge(f"tensor power {k} of dimension {rho.dim} exceeds the cap "
                           f"{linalg.MAX_DIM}")
-    return DensityMatrix(_kron_power(rho.matrix, k))
+    return DensityMatrix._from_factor(_kron_power(rho.matrix, k),
+                                      _kron_power(rho._psd_factor(), k))
 
 
 def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int):
@@ -132,7 +134,7 @@ def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix, anc_dims: tuple,
             raise OutOfRange(f"ancilla dim {anc_dims[0]} not divisible by "
                              f"d^M = {extra_dim}")
         env_dim = anc_dims[0] // extra_dim
-    env_dim = int(env_dim)
+    env_dim = _integral(env_dim, "env_dim")
     if env_dim < 1:
         raise OutOfRange(f"env_dim {env_dim} must be >= 1")
     anc_dim = extra_dim * env_dim
@@ -171,9 +173,12 @@ class CloningSetup:
         if vm.shape[0] != total:
             raise DimMismatch(f"unitary dim {vm.shape[0]} != d^L*e = {total}")
         linalg.require_unitary(vm)
-        self.rho1, self.rho2 = rho1, rho2
-        self.upsilon1, self.upsilon2 = upsilon1, upsilon2
-        self.n_in, self.n_out, self.env_dim, self.v = n_in, n_out, env_dim, vm
+        self._hold(rho1, rho2, upsilon1, upsilon2, vm, n_in, n_out, env_dim)
+
+    def _hold(self, *fields) -> None:
+        """Set the fields, in __slots__ order, as the caller has checked them."""
+        for name, value in zip(self.__slots__, fields):
+            setattr(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         # the channel is built from the fields on first use, so none may change
@@ -250,7 +255,10 @@ def absolute_error(delta1: float, delta2: float) -> float:
 
 
 def _kron_power(k: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a matrix, unvalidated."""
+    """n-fold Kronecker power of a matrix, unvalidated; a 1 x 1 matrix is
+    raised to the power n entrywise, with no product loop."""
+    if k.size == 1:
+        return k ** n
     return reduce(np.kron, itertools.repeat(k, n))
 
 
@@ -262,7 +270,7 @@ def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
     with sqrt(1 - f^(2L)) (root-fidelity multiplicativity) within 1e-9;
     disagreement means the inputs or the arithmetic are broken.
     """
-    factors = [linalg._psd_factor(rho.matrix) for rho in (rho1, rho2)]
+    factors = [rho1._psd_factor(), rho2._psd_factor()]
     f = 1.0 - float(_bures(*factors))
     if f >= 1.0 - DEGENERATE_TOL:
         raise IndistinguishablePair(
@@ -302,7 +310,7 @@ class _Channel:
 
     Built once per problem from the states and N -> L alone (no unitary;
     the caller has validated the dimensions with _problem_dims), from the
-    small eigh of rho_1, rho_2, upsilon_1 and upsilon_2. It holds what does
+    factors the four states keep (see DensityMatrix). It holds what does
     not depend on V: the input factors
     K_i = K_rho_i^(x)N (x) Y_i, with K_i K_i^dagger = rho_i^(x)N (x) upsilon_i,
     and the ideal factors B_i, each pair as one stack, so that one product
@@ -320,7 +328,7 @@ class _Channel:
                  n_in: int, n_out: int):
         self.f, factors, ideals, u = _ideal_factors(rho1, rho2, n_out)
         self.ideal_angle, self.denominator = float(_angle(u)), float(_sine(u))
-        ancillas = [linalg._psd_factor(ups.matrix) for ups in (upsilon1, upsilon2)]
+        ancillas = [upsilon1._psd_factor(), upsilon2._psd_factor()]
         self.phi = 1.0 - float(_bures(*ancillas))
         self.bound = lower_bound(self.f, self.phi, n_in, n_out)
         self.ideal_factors = _side_by_side(ideals)
@@ -359,15 +367,18 @@ class _Channel:
 def apply_cloning(setup: CloningSetup) -> CloneOutcome:
     """Evaluate the channel: conjugate by V, trace out the environment.
 
-    The outputs are A_i A_i^dagger from the channel's output factors, and
-    delta_i = arccos(sqrt F_i) comes from the Bures form (see _Channel).
+    The outputs are the Gram products A_i A_i^dagger of the channel's output
+    factors, which they carry; of the density invariants only their trace is
+    checked. delta_i = arccos(sqrt F_i) comes from the Bures form (see
+    _Channel).
 
     Raises SoundnessViolation if the relative error lands below the lower
     bound minus 1e-8, which no correct evaluation can do.
     """
     factors, us, abs_err, rel_err = setup._channel().evaluate(setup.v)
     outs = factors @ _dagger(factors)
-    out1, out2 = (DensityMatrix(m) for m in (outs + _dagger(outs)) / 2.0)
+    out1, out2 = (DensityMatrix._from_factor(m, a)
+                  for m, a in zip((outs + _dagger(outs)) / 2.0, factors))
     delta1, delta2 = _angle(us).tolist()
     return CloneOutcome(out1, out2, delta1, delta2, abs_err, rel_err)
 
@@ -475,5 +486,8 @@ def perfect_cloning_setup(rho1: DensityMatrix, rho2: DensityMatrix,
                                                 n_in, n_out)
     ups1, ups2 = (y.density() for y in purifications_with_overlap(
         tensor_power(rho1, m_extra), tensor_power(rho2, m_extra), phi))
-    return CloningSetup(rho1, rho2, ups1, ups2, np.eye(total, dtype=complex),
-                        n_in, n_out, env_dim)
+    # _problem_dims has checked the fields, and the identity needs no check
+    setup = CloningSetup.__new__(CloningSetup)
+    setup._hold(rho1, rho2, ups1, ups2, np.eye(total, dtype=complex),
+                n_in, n_out, env_dim)
+    return setup

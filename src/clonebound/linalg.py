@@ -105,6 +105,12 @@ def _sqrt_psd(a: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(a)
     if w[0] < -TOL_PSD:
         raise NotPSD(f"eigenvalue {w[0]:.3e} below -{TOL_PSD:.1e}")
+    return _eig_sqrt(w, u)
+
+
+def _eig_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The PSD root u diag(sqrt(w)) u^dagger of an eigendecomposition with
+    ascending eigenvalues, symmetrized so that it is exactly Hermitian."""
     r = (u * _root_weights(w)) @ _dagger(u)
     return (r + _dagger(r)) / 2.0
 
@@ -119,12 +125,16 @@ def _root_weights(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _root_factor(m: np.ndarray) -> np.ndarray:
-    """K = u diag(sqrt(w)) with K K^dagger = m, per PSD matrix of a
-    (..., d, d) stack, unvalidated: every K is d x d, and the columns the
-    root cutoff drops are zero."""
-    w, u = np.linalg.eigh(m)
+def _eig_factor(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """K = u diag(sqrt(w)) from a (..., d) stack of ascending eigenvalues and
+    its eigenvectors: every K is d x d, and the columns the root cutoff drops
+    are zero."""
     return u * _root_weights(w)[..., None, :]
+
+
+def _root_factor(m: np.ndarray) -> np.ndarray:
+    """_eig_factor of each PSD matrix of a (..., d, d) stack, unvalidated."""
+    return _eig_factor(*np.linalg.eigh(m))
 
 
 def _psd_factor(m: np.ndarray) -> np.ndarray:

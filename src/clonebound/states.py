@@ -40,15 +40,17 @@ TOL_UNIT = 1e-10  # how far a trace or a norm may stray from 1
 _BRACKET_SAMPLES = 64
 
 
-def _require_density(m: np.ndarray) -> None:
+def _require_density(m: np.ndarray):
     """The density-matrix invariants on each matrix of a (..., d, d) stack:
     Hermitian within TOL_HERM, lowest eigenvalue >= -TOL_PSD, trace 1 within
-    TOL_UNIT."""
+    TOL_UNIT. Returns the eigendecomposition (w, u) the PSD check read."""
     linalg.require_hermitian(m)
-    low = np.linalg.eigvalsh(m)[..., 0].min()
+    w, u = np.linalg.eigh(m)
+    low = w[..., 0].min()
     if low < -linalg.TOL_PSD:
         raise NotPSD(f"density eigenvalue {low:.3e} below -{linalg.TOL_PSD:.1e}")
     _require_unit_trace(m)
+    return w, u
 
 
 def _require_unit_trace(m: np.ndarray) -> None:
@@ -68,31 +70,73 @@ def _require_unit(amp: np.ndarray) -> None:
 
 
 class DensityMatrix:
-    """A validated density matrix: Hermitian, PSD, unit trace."""
+    """A validated density matrix: Hermitian, PSD, unit trace.
 
-    __slots__ = ("matrix",)
+    The state is fixed after construction: ``matrix`` is a read-only array
+    and cannot be reassigned. The state keeps the one eigendecomposition its
+    validation ran, or the factor K, K K^dagger = matrix, it was built from;
+    its roots, factors and purifications are all derived from that.
+    """
+
+    __slots__ = ("_matrix", "_eig", "_factor")
 
     def __init__(self, matrix):
         a = linalg.as_matrix(matrix)
-        _require_density(a)
-        self.matrix = a
+        if a is matrix or a.base is not None:  # the caller's array, or a view of it
+            a = a.copy()
+        self._hold(a, _require_density(a), None)
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "DensityMatrix":
-        """Wrap a matrix the caller has shown to meet every invariant."""
+    def _from_factor(cls, matrix: np.ndarray, factor: np.ndarray) -> "DensityMatrix":
+        """Wrap ``matrix`` = K K^dagger, built Hermitian by the caller, with its
+        factor K = ``factor``. A Gram product is PSD, so of the density
+        invariants only the unit trace is checked."""
+        _require_unit_trace(matrix)
         rho = cls.__new__(cls)
-        rho.matrix = matrix
+        rho._hold(matrix, None, factor)
         return rho
+
+    def _hold(self, matrix: np.ndarray, eig, factor) -> None:
+        matrix.flags.writeable = False
+        self._matrix, self._eig, self._factor = matrix, eig, factor
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._matrix.shape[0]
+
+    def _eigen(self):
+        """(w, u) with ascending w and matrix = u diag(w) u^dagger: the
+        decomposition validation ran or, for a state built from a factor, one
+        eigh of the matrix on first use, kept from then on."""
+        if self._eig is None:
+            self._eig = np.linalg.eigh(self._matrix)
+        return self._eig
+
+    def _root_factor(self) -> np.ndarray:
+        """A factor K with K K^dagger = matrix: the one the state was built
+        from, else linalg._eig_factor of its decomposition."""
+        if self._factor is None:
+            return linalg._eig_factor(*self._eig)
+        return self._factor
+
+    def _psd_factor(self) -> np.ndarray:
+        """_root_factor without its zero columns."""
+        k = self._root_factor()
+        return k[:, k.any(axis=0)]
+
+    def _sqrt(self) -> np.ndarray:
+        """The PSD root of the matrix, from its decomposition."""
+        return linalg._eig_sqrt(*self._eigen())
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
 
     def to_dict(self) -> dict:
-        return {"dim": self.dim, "entries": matrix_to_entries(self.matrix)}
+        return {"dim": self.dim, "entries": matrix_to_entries(self._matrix)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DensityMatrix":
@@ -100,10 +144,10 @@ class DensityMatrix:
 
 
 def _blank_ancilla(dim: int) -> DensityMatrix:
-    """The pure blank register |0><0| on C^dim."""
+    """The pure blank register |0><0| on C^dim, with its factor e_0."""
     blank = np.zeros((dim, dim), dtype=complex)
     blank[0, 0] = 1.0
-    return DensityMatrix(blank)
+    return DensityMatrix._from_factor(blank, blank[:, :1].copy())
 
 
 class PureState:
@@ -125,7 +169,7 @@ class PureState:
         return self.amp.size
 
     def density(self) -> DensityMatrix:
-        """|y><y| as a DensityMatrix.
+        """|y><y| as a DensityMatrix with its factor y.
 
         Of the density invariants only the trace |y|^2 = 1 within TOL_UNIT is
         checked: the state has passed the finiteness and dimension checks,
@@ -135,11 +179,10 @@ class PureState:
         nothing else, so the matrix decomposes exactly as the outer product.
         """
         m = np.outer(self.amp, self.amp.conj())
-        _require_unit_trace(m)
         m = np.tril(m)
         m += linalg._dagger(np.tril(m, -1))
         np.fill_diagonal(m, m.diagonal().real)
-        return DensityMatrix._trusted(m)
+        return DensityMatrix._from_factor(m, self.amp[:, None].copy())
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -233,13 +276,13 @@ def fidelity(chi: DensityMatrix, omega: DensityMatrix) -> float:
     derived angle is exactly zero.
     """
     _check_same_dim(chi, omega)
-    return float(_fidelity_stack(chi.matrix, omega.matrix))
+    return float(_fidelity(_bures(chi._root_factor(), omega._root_factor())))
 
 
 def angle(chi: DensityMatrix, omega: DensityMatrix) -> float:
     """Angle arccos(sqrt(F)) in [0, pi/2]."""
     _check_same_dim(chi, omega)
-    return float(_angle_stack(chi.matrix, omega.matrix))
+    return float(_angle(_bures(chi._root_factor(), omega._root_factor())))
 
 
 def angle_pure(x: PureState, y: PureState) -> float:
@@ -259,7 +302,7 @@ def purify(rho: DensityMatrix, env_dim: int) -> PureState:
     e = int(env_dim)
     if e < 1:
         raise EnvTooSmall(f"env_dim {e} must be >= 1")
-    w, u = linalg.hermitian_eig(rho.matrix)
+    w, u = rho._eigen()
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
     u = u[:, order]
@@ -281,12 +324,11 @@ def overlap_under(v, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     if a.shape[0] != d:
         raise DimMismatch(f"unitary dim {a.shape[0]} != state dim {d}")
     linalg.require_unitary(a)
-    return float(abs(np.trace(linalg.sqrt_psd(rho1.matrix)
-                              @ linalg.sqrt_psd(rho2.matrix) @ a)))
+    return float(abs(np.trace(rho1._sqrt() @ rho2._sqrt() @ a)))
 
 
 def _roots(rho1: DensityMatrix, rho2: DensityMatrix):
-    return linalg._sqrt_psd(rho1.matrix), linalg._sqrt_psd(rho2.matrix)
+    return rho1._sqrt(), rho2._sqrt()
 
 
 def _cyclic_shift(d: int) -> np.ndarray:

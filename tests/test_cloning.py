@@ -22,12 +22,20 @@ from clonebound.errors import (
     DimMismatch,
     DimTooLarge,
     IndistinguishablePair,
+    NotDensity,
     NotUnitary,
     OutOfRange,
     SoundnessViolation,
 )
 from clonebound.search import OptimizerConfig, minimize_relative_error
-from clonebound.states import DensityMatrix, PureState, angle, fidelity
+from clonebound.states import (
+    DensityMatrix,
+    PureState,
+    _blank_ancilla,
+    angle,
+    fidelity,
+    purifications_with_overlap,
+)
 
 import oracles
 
@@ -97,6 +105,37 @@ def test_integral_copy_counts_read_as_ints():
                           tensor_power(_pure(0.3), 2).matrix)
     with pytest.raises(OutOfRange):
         tensor_power(_pure(0.3), 2.5)
+
+
+def test_a_fractional_env_dim_is_refused_not_truncated():
+    rho1, rho2 = _pure(0.0), _pure(0.4)
+    ups = _blank(4)  # d^M * e = 2 * 2
+    cfg = OptimizerConfig(restarts=1, iterations=1)
+    for env in (2.7, 2.5, "2"):
+        with pytest.raises(OutOfRange):
+            minimize_relative_error(rho1, rho2, ups, ups, dims=(1, 2, env), cfg=cfg)
+        with pytest.raises(OutOfRange):
+            CloningSetup(rho1, rho2, ups, ups, np.eye(8), 1, 2, env)
+    for env in (2, 2.0, np.int64(2), np.float64(2)):
+        res = minimize_relative_error(rho1, rho2, ups, ups, dims=(1, 2, env), cfg=cfg)
+        assert res.env_dim == 2 and type(res.env_dim) is int
+        assert CloningSetup(rho1, rho2, ups, ups, np.eye(8), 1, 2, env).env_dim == 2
+
+
+def test_a_one_dimensional_tensor_power_forms_no_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a Kronecker product was formed")
+
+    monkeypatch.setattr(np, "kron", no_product)
+    one = DensityMatrix(np.array([[1.0]]))
+    start = time.perf_counter()
+    power = tensor_power(one, 10 ** 9)
+    assert time.perf_counter() - start < 1.0
+    assert power.matrix.tolist() == [[1.0]] and power._root_factor().tolist() == [[1.0]]
+    # the trace check still reads the power: (1 + 2e-11)^(10^9) = e^0.02
+    with pytest.raises(NotDensity):
+        tensor_power(DensityMatrix(np.array([[1.0 + 2e-11]])), 10 ** 9)
+    assert tensor_power(DensityMatrix(np.array([[1.0 + 2e-11]])), 3).dim == 1
 
 
 def test_bound_input_validation():
@@ -390,6 +429,37 @@ def test_setup_fields_are_fixed_after_construction():
                  "env_dim", "_chan"):
         with pytest.raises(AttributeError):
             setattr(setup, name, getattr(setup, name))
+
+
+def test_each_validated_state_is_decomposed_once_and_no_other_state_is(monkeypatch):
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, *a, _solve=solve, **k: seen.append(m) or _solve(m, *a, **k))
+    for d in (2, 3, 4):
+        seen.clear()
+        rng = np.random.default_rng([83, d])
+        rho1 = DensityMatrix(oracles.random_density(rng, d, d - 1))
+        rho2 = DensityMatrix(oracles.random_density(rng, d, d))
+        phi = 0.6 * math.sqrt(fidelity(rho1, rho2))
+        y1, y2 = purifications_with_overlap(rho1, rho2, phi)
+        setup = perfect_cloning_setup(rho1, rho2, phi)
+        out = apply_cloning(setup)
+        assert out.relative_error <= 1e-9 and proof_chain_check(setup).all_hold
+        # blank, pure, tensor-power and output states are read through the
+        # factors they were built from
+        blank = _blank_ancilla(d)
+        blank_setup = CloningSetup(rho1, rho2, blank, blank, np.eye(d * d), 1, 2, 1)
+        blank_out = apply_cloning(blank_setup)
+        assert proof_chain_check(blank_setup).all_hold
+        square = tensor_power(rho1, 2)
+        assert abs(fidelity(out.out1, square) - 1.0) <= 1e-9
+        assert 0.0 <= fidelity(blank_out.out2, tensor_power(rho2, 2)) <= 1.0
+        assert abs(math.sqrt(fidelity(y1.density(), y2.density())) - phi) <= 1e-9
+        assert len(seen) == 2 and seen[0] is rho1.matrix and seen[1] is rho2.matrix
+        for state in (rho1, rho2, setup.upsilon1, blank, square, out.out1, blank_out.out2):
+            assert not state.matrix.flags.writeable
 
 
 def test_a_near_copy_reads_its_true_sine():

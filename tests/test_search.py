@@ -157,7 +157,8 @@ def test_a_move_is_the_exponential_of_its_generator(n, ks):
 
 
 def test_a_candidate_costs_no_eigendecomposition(monkeypatch):
-    # eigh runs only while the channel is built, however long the walk
+    # eigh runs only while the states are validated, however long the walk;
+    # the states keep their decomposition, so each search gets fresh ones
     calls = []
     eigh = np.linalg.eigh
 
@@ -166,11 +167,11 @@ def test_a_candidate_costs_no_eigendecomposition(monkeypatch):
         return eigh(m, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    rho1, rho2 = _random_pair(131)
-    blank8 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
     counts = []
     for iterations in (10, 300):
         calls.clear()
+        rho1, rho2 = _random_pair(131)
+        blank8 = DensityMatrix(np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex))
         cfg = OptimizerConfig(restarts=2, iterations=iterations, seed=1)
         res = minimize_relative_error(rho1, rho2, blank8, blank8, dims=(1, 2, 4), cfg=cfg)
         assert res.evaluations == 2 * (iterations + 1)

@@ -59,6 +59,28 @@ def test_density_matrix_round_trip():
     assert np.array_equal(rho.matrix, again.matrix)
 
 
+def test_a_density_matrix_is_fixed_and_apart_from_the_callers_array():
+    m = np.diag([0.75, 0.25]).astype(complex)
+    for rho in (DensityMatrix(m), DensityMatrix(m[:, :]), DensityMatrix(memoryview(m))):
+        with pytest.raises(AttributeError):
+            rho.matrix = np.eye(2, dtype=complex) / 2
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.5
+        assert m.flags.writeable
+        m[0, 0] = 0.5
+        assert rho.matrix[0, 0] == 0.75
+        m[0, 0] = 0.75
+    for built in (PureState([0.6, 0.8j]).density(), states._blank_ancilla(3)):
+        with pytest.raises(AttributeError):
+            built.matrix = built.matrix.copy()
+        with pytest.raises(ValueError):
+            built.matrix[0, 0] = 0.0
+    # a state built from another state's matrix takes its own copy
+    first = DensityMatrix(m)
+    again = DensityMatrix(first.matrix)
+    assert again.matrix is not first.matrix and np.array_equal(again.matrix, m)
+
+
 def test_pure_state_validation_and_round_trip():
     with pytest.raises(NotDensity):
         PureState([1.0, 1.0])
