@@ -156,7 +156,8 @@ class CloningSetup:
     Holds the input pair on C^d, the ancilla pair on C^(d^M * e) with
     M = n_out - n_in, and the joint unitary on C^(d^L * e). The fields are
     validated together at construction and stay fixed afterwards: assigning
-    one raises AttributeError. The channel (see _Channel) is built once, on
+    one raises AttributeError, and ``v`` is a read-only array apart from the
+    caller's. The channel (see _Channel) is built once, on
     first use, and shared by apply_cloning and proof_chain_check; each of
     them still evaluates it under V, soundness check included.
     """
@@ -169,16 +170,18 @@ class CloningSetup:
                  v, n_in: int, n_out: int, env_dim: int):
         n_in, n_out, env_dim, total = _problem_dims(
             rho1, rho2, (upsilon1.dim, upsilon2.dim), n_in, n_out, env_dim)
-        vm = linalg.as_matrix(v)
+        vm = linalg._fixed_matrix(v)
         if vm.shape[0] != total:
             raise DimMismatch(f"unitary dim {vm.shape[0]} != d^L*e = {total}")
         linalg.require_unitary(vm)
         self._hold(rho1, rho2, upsilon1, upsilon2, vm, n_in, n_out, env_dim)
 
     def _hold(self, *fields) -> None:
-        """Set the fields, in __slots__ order, as the caller has checked them."""
+        """Set the fields, in __slots__ order, as the caller has checked them;
+        V is kept read-only."""
         for name, value in zip(self.__slots__, fields):
             setattr(self, name, value)
+        self.v.flags.writeable = False
 
     def __setattr__(self, name: str, value) -> None:
         # the channel is built from the fields on first use, so none may change

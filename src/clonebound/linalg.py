@@ -5,9 +5,10 @@ double precision, and capped at dimension 4096; tolerances are the module
 constants below.
 
 Only numpy is imported at load time. scipy is loaded by ``unitary_power``
-alone, on its first call, which ``purify``, ``target_overlap_unitary`` and
-``perfect_cloning_setup`` reach; ``bound``, ``sweep``, ``verify`` and
-``optimize`` never load it.
+alone, on its first call with a non-diagonal unitary. The package calls it
+only with diagonal ones (``target_overlap_unitary``'s walk), so ``purify``,
+``target_overlap_unitary``, ``perfect_cloning_setup``, ``bound``, ``sweep``,
+``verify`` and ``optimize`` never load it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,16 @@ def as_matrix(m, *, square: bool = True) -> np.ndarray:
         raise NonFinite("matrix contains NaN or Inf entries")
     if square and a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
+def _fixed_matrix(m) -> np.ndarray:
+    """as_matrix of m as a read-only array that shares no memory with the
+    caller: the caller's array, or a view of it, is copied."""
+    a = as_matrix(m)
+    if a is m or a.base is not None:
+        a = a.copy()
+    a.flags.writeable = False
     return a
 
 
@@ -132,18 +143,6 @@ def _eig_factor(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u * _root_weights(w)[..., None, :]
 
 
-def _root_factor(m: np.ndarray) -> np.ndarray:
-    """_eig_factor of each PSD matrix of a (..., d, d) stack, unvalidated."""
-    return _eig_factor(*np.linalg.eigh(m))
-
-
-def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """_root_factor of one PSD matrix without its zero columns, so K is
-    d x rank."""
-    k = _root_factor(m)
-    return k[:, k.any(axis=0)]
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the dimension cap enforced on the result."""
     x = as_matrix(a, square=False)
@@ -188,17 +187,28 @@ def unitary_power(u, t: float) -> np.ndarray:
     """Fractional power of a unitary along its eigenphases.
 
     Phases are taken on the branch (-pi, pi], so u**t is the deterministic
-    path with u**0 = identity and u**1 = u. The complex Schur form is used
-    because it stays an orthonormal eigenbasis even for degenerate phases.
+    path with u**0 = identity and u**1 = u. A diagonal unitary is its own
+    Schur form: its phases are read off the diagonal, and scipy is not
+    loaded. Any other unitary goes through the complex Schur form, which
+    stays an orthonormal eigenbasis even for degenerate phases.
     """
     a = as_matrix(u)
     require_unitary(a)
     tt = float(t)
     if not 0.0 <= tt <= 1.0:
         raise OutOfRange(f"power t={tt} outside [0, 1]")
+    lam = np.diagonal(a)
+    if np.array_equal(a, np.diag(lam)):
+        return np.diag(_phase_power(lam, tt))
     import scipy.linalg  # the one scipy user; kept off the package's import path
 
     tri, w = scipy.linalg.schur(a, output="complex")
-    theta = np.angle(np.diagonal(tri))
+    return (w * _phase_power(np.diagonal(tri), tt)) @ w.conj().T
+
+
+def _phase_power(lam: np.ndarray, t: float) -> np.ndarray:
+    """lam**t for unit-modulus lam, with phases on the branch (-pi, pi]: a
+    phase of exactly -pi (np.angle of -1 - 0j, say) moves to +pi."""
+    theta = np.angle(lam)
     theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
-    return (w * np.exp(1j * tt * theta)) @ w.conj().T
+    return np.exp(1j * t * theta)

@@ -81,9 +81,7 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_eig", "_factor")
 
     def __init__(self, matrix):
-        a = linalg.as_matrix(matrix)
-        if a is matrix or a.base is not None:  # the caller's array, or a view of it
-            a = a.copy()
+        a = linalg._fixed_matrix(matrix)
         self._hold(a, _require_density(a), None)
 
     @classmethod
@@ -252,17 +250,6 @@ def _fidelity(u):
     return (1.0 - u) ** 2
 
 
-def _fidelity_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Fidelity of each pair of two (..., d, d) density stacks, unvalidated,
-    with u from _bures on the PSD factors."""
-    return _fidelity(_bures(linalg._root_factor(m1), linalg._root_factor(m2)))
-
-
-def _angle_stack(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Angle arccos(sqrt(F)) of each pair of two (..., d, d) density stacks."""
-    return _angle(_bures(linalg._root_factor(m1), linalg._root_factor(m2)))
-
-
 def _angle_pure_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Angle arccos(|<x|y>|) of each pair of two (..., d) unit-vector stacks."""
     ov = np.abs(np.einsum("...i,...i->...", x.conj(), y))
@@ -337,13 +324,21 @@ def _cyclic_shift(d: int) -> np.ndarray:
 
 
 def _overlap_frame(a: np.ndarray, b: np.ndarray):
-    """M = a b, its singular values s, Q P^dagger and Q C P^dagger, for the
-    SVD M = P diag(s) Q^dagger and C the cyclic shift: the unitaries of
-    maximal and of zero overlap Tr(M V)."""
+    """M = a b, its singular values s and the unitaries P, Q of its SVD
+    M = P diag(s) Q^dagger."""
     m = a @ b
     p, s, qh = np.linalg.svd(m)
-    q, ph = qh.conj().T, p.conj().T
-    return m, s, q @ ph, q @ _cyclic_shift(a.shape[0]) @ ph
+    return m, s, p, qh.conj().T
+
+
+def _max_unitary(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q P^dagger, the unitary of maximal overlap Tr(M V)."""
+    return q @ p.conj().T
+
+
+def _zero_unitary(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q C P^dagger, with C the cyclic shift: a unitary of zero overlap."""
+    return q @ _cyclic_shift(p.shape[0]) @ p.conj().T
 
 
 def _result(m: np.ndarray, v: np.ndarray, t: float) -> OverlapUnitaryResult:
@@ -358,8 +353,8 @@ def max_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUnit
     which turns the trace into the sum of singular values.
     """
     _check_same_dim(rho1, rho2)
-    m, _, v_max, _ = _overlap_frame(*_roots(rho1, rho2))
-    return _result(m, v_max, 1.0)
+    m, _, p, q = _overlap_frame(*_roots(rho1, rho2))
+    return _result(m, _max_unitary(p, q), 1.0)
 
 
 def zero_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUnitaryResult:
@@ -371,13 +366,25 @@ def zero_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUni
     d = _check_same_dim(rho1, rho2)
     if d < 2:
         raise DimTooSmall("no zero-overlap unitary in dimension 1")
-    m, _, _, v_zero = _overlap_frame(*_roots(rho1, rho2))
-    return _result(m, v_zero, 0.0)
+    m, _, p, q = _overlap_frame(*_roots(rho1, rho2))
+    return _result(m, _zero_unitary(p, q), 0.0)
 
 
 def _root_phases(d: int) -> np.ndarray:
     """Phases of the d-th roots of unity on the branch (-pi, pi]."""
     return 2.0 * np.pi * (np.arange(d) - (d - 1) // 2) / d
+
+
+def _walk_unitary(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
+    """The walk's V(t) = (Q C F) diag(lam^t) (P F)^dagger, in the DFT
+    eigenbasis of its step (see target_overlap_unitary): F[j, k] =
+    exp(i j theta_k) / sqrt(d) and lam_k = exp(i theta_k). lam^t is the
+    diagonal case of linalg.unitary_power."""
+    d = p.shape[0]
+    theta = _root_phases(d)
+    f = np.exp(1j * np.multiply.outer(np.arange(d), theta)) / np.sqrt(d)
+    lam_t = np.diagonal(linalg.unitary_power(np.diag(np.exp(1j * theta)), t))
+    return ((q @ _cyclic_shift(d) @ f) * lam_t) @ linalg._dagger(p @ f)
 
 
 def _path_profile(t, d: int):
@@ -395,11 +402,18 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     located on a 64-point uniform grid first and then bisected; V(t) is
     built once, at the root.
 
+    V(t) is built in the eigenbasis of the step, with no Schur form. With
+    sqrt(rho1) sqrt(rho2) = P Sigma Q^dagger, V0 = Q C P^dagger (C the
+    cyclic shift) and Vmax = Q P^dagger, the step V0^dagger Vmax is
+    P C^dagger P^dagger. The unitary DFT matrix F diagonalizes C^dagger =
+    F diag(lam) F^dagger, with lam the d-th roots of unity, so
+    V(t) = (Q C F) diag(lam^t) (P F)^dagger. The phases of lam^t lie on
+    (-pi, pi] with -1 at +pi, so at even d the unitary does not depend on
+    how an eigensolver rounds.
+
     The overlap along the path is known in closed form, so neither the grid
-    nor the bisection builds a matrix. With sqrt(rho1) sqrt(rho2) =
-    P Sigma Q^dagger, V0 = Q C P^dagger and Vmax = Q P^dagger, the step
-    V0^dagger Vmax is P C^dagger P^dagger and Tr(sqrt(rho1) sqrt(rho2) V(t))
-    = Tr(Sigma C (C^dagger)^t). The matrix C (C^dagger)^t is circulant, so
+    nor the bisection builds a matrix: Tr(sqrt(rho1) sqrt(rho2) V(t)) =
+    Tr(Sigma C (C^dagger)^t). The matrix C (C^dagger)^t is circulant, so
     its diagonal is constant and g(t) = sqrt(F) |c_d(t)|, sqrt(F) = Tr Sigma,
     with c_d(t) = (1/d) sum_k exp(i (t-1) theta_k) and theta_k the phases
     of the d-th roots of unity on (-pi, pi]. With s = 1 - t and odd d, c_d
@@ -414,7 +428,7 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     if d < 2:
         raise DimTooSmall("dimension 1 admits only overlap 1")
     target = float(phi)
-    m, s, v_max, v_zero = _overlap_frame(*_roots(rho1, rho2))
+    m, s, p, q = _overlap_frame(*_roots(rho1, rho2))
     sum_s = float(np.sum(s))
     sqrt_f = min(sum_s, 1.0)
     if not -1e-12 <= target <= sqrt_f + 1e-9:
@@ -422,9 +436,9 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     target = min(max(target, 0.0), sqrt_f)
 
     if target <= TOL_ROOT:
-        return _result(m, v_zero, 0.0)
+        return _result(m, _zero_unitary(p, q), 0.0)
     if target >= sqrt_f - TOL_ROOT:
-        return _result(m, v_max, 1.0)
+        return _result(m, _max_unitary(p, q), 1.0)
 
     ts = np.linspace(0.0, 1.0, _BRACKET_SAMPLES)
     gs = sum_s * _path_profile(ts, d)
@@ -446,8 +460,7 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
             hi = mid
         else:
             lo, g_lo = mid, g_mid
-    v = v_zero @ linalg.unitary_power(v_zero.conj().T @ v_max, mid)
-    return _result(m, v, float(mid))
+    return _result(m, _walk_unitary(p, q, mid), float(mid))
 
 
 def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,

@@ -177,7 +177,7 @@ def variational_max_overlap(rho1: np.ndarray, rho2: np.ndarray,
     return best
 
 
-def _schur_power(u: np.ndarray, t: float) -> np.ndarray:
+def schur_power(u: np.ndarray, t: float) -> np.ndarray:
     """u**t on the eigenphase branch (-pi, pi], via the complex Schur form."""
     tri, w = sla.schur(u, output="complex")
     theta = np.angle(np.diagonal(tri))
@@ -195,10 +195,16 @@ def _overlap_path(a: np.ndarray, b: np.ndarray):
     return m, s, v_max, v_zero
 
 
+def walk_step_phases(a: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Eigenphases of V0^dagger v, ascending, for V0 the overlap path's start."""
+    _, _, _, v_zero = _overlap_path(a, b)
+    return np.sort(np.angle(np.linalg.eigvals(v_zero.conj().T @ v)))
+
+
 def schur_path_overlap(a: np.ndarray, b: np.ndarray, t: float) -> float:
     """|Tr(a b V0 step^t)| on the overlap path, with a matrix power."""
     m, _, v_max, v_zero = _overlap_path(a, b)
-    return float(abs(np.trace(m @ v_zero @ _schur_power(v_zero.conj().T @ v_max, t))))
+    return float(abs(np.trace(m @ v_zero @ schur_power(v_zero.conj().T @ v_max, t))))
 
 
 def schur_walk_target_overlap(a: np.ndarray, b: np.ndarray, phi: float,
@@ -220,7 +226,7 @@ def schur_walk_target_overlap(a: np.ndarray, b: np.ndarray, phi: float,
     step = v_zero.conj().T @ v_max
 
     def walk(t):
-        v = v_zero @ _schur_power(step, t)
+        v = v_zero @ schur_power(step, t)
         return v, float(abs(np.trace(m @ v)))
 
     ts = np.linspace(0.0, 1.0, samples)

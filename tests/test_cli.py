@@ -606,7 +606,7 @@ import numpy as np
 
 import clonebound
 from clonebound import cli, linalg
-from clonebound.states import random_density
+from clonebound.states import fidelity, random_density
 
 work = Path(sys.argv[1])
 cfg = work / "opt.json"
@@ -620,7 +620,20 @@ for argv in (["bound", "--f", "0.5", "--phi", "1"],
              ["verify", "--trials", "5", "--out", out],
              ["optimize", "--config", str(cfg), "--out", out]):
     assert cli.main(argv) == 0, argv
-assert "scipy" not in sys.modules, "scipy loaded before unitary_power"
+assert "scipy" not in sys.modules, "scipy loaded by bound, sweep, verify or optimize"
+for d in (2, 3, 4):
+    rho1, rho2 = random_density(d, d - 1, seed=d), random_density(d, d, seed=10 + d)
+    phi = 0.5 * fidelity(rho1, rho2) ** 0.5
+    pair = work / f"pair{d}.json"
+    pair.write_text(json.dumps({"rho1": rho1.to_dict(), "rho2": rho2.to_dict()}))
+    argv = ["purify", "--states", str(pair), "--phi", repr(phi), "--out", out]
+    assert cli.main(argv) == 0, argv
+    setup = clonebound.perfect_cloning_setup(rho1, rho2, phi)
+    assert clonebound.apply_cloning(setup).relative_error == 0.0
+    assert clonebound.proof_chain_check(setup).all_hold
+half = linalg.unitary_power(np.diag([1.0, -1.0]), 0.5)
+assert np.abs(half - np.diag([1.0, 1j])).max() < 1e-15, half
+assert "scipy" not in sys.modules, "scipy loaded on the overlap walk"
 root_x = linalg.unitary_power(np.array([[0, 1], [1, 0]]), 0.5)
 expected = np.array([[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
 assert np.abs(root_x - expected).max() < 1e-15, root_x

@@ -35,6 +35,7 @@ from clonebound.states import (
     angle,
     fidelity,
     purifications_with_overlap,
+    random_density,
 )
 
 import oracles
@@ -429,6 +430,24 @@ def test_setup_fields_are_fixed_after_construction():
                  "env_dim", "_chan"):
         with pytest.raises(AttributeError):
             setattr(setup, name, getattr(setup, name))
+
+
+def test_a_setups_unitary_is_read_only_and_apart_from_the_callers_array():
+    rho1, rho2 = random_density(2, 2, seed=1), random_density(2, 2, seed=2)
+    perfect = perfect_cloning_setup(rho1, rho2, 0.3)
+    flip = np.eye(8)[::-1]
+    with pytest.raises(ValueError):
+        perfect.v[:] = flip
+    assert apply_cloning(perfect).relative_error == 0.0
+    v = perfect.v.copy()
+    for given in (v, v[:, :], memoryview(v)):
+        setup = CloningSetup(rho1, rho2, perfect.upsilon1, perfect.upsilon2, given,
+                             1, 2, perfect.env_dim)
+        with pytest.raises(ValueError):
+            setup.v[0, 1] = 0.5
+        v[:] = flip
+        assert apply_cloning(setup).relative_error == 0.0
+        v[:] = perfect.v
 
 
 def test_each_validated_state_is_decomposed_once_and_no_other_state_is(monkeypatch):

@@ -173,6 +173,22 @@ def test_unitary_power_deterministic_on_degenerate_spectrum():
     assert np.linalg.norm(a @ a - u) < 1e-12
 
 
+def test_unitary_power_of_a_diagonal_unitary_matches_the_schur_path_bitwise():
+    # a diagonal unitary is its own Schur form, so reading its phases off the
+    # diagonal must give the Schur path's bits, on degenerate +-1 spectra too
+    rng = np.random.default_rng(23)
+    cases = 0
+    for d in range(1, 65):
+        signs = np.where(rng.random(d) < 0.5, 1.0, -1.0) + 0j
+        roots = np.exp(2j * np.pi * (np.arange(d) - (d - 1) // 2) / d)
+        for lam in (np.exp(1j * rng.uniform(-np.pi, np.pi, d)), signs,
+                    np.full(d, -1.0 + 0j), np.full(d, complex(-1.0, -0.0)), roots):
+            u, t = np.diag(lam), rng.uniform()
+            assert np.array_equal(linalg.unitary_power(u, t), oracles.schur_power(u, t))
+            cases += 1
+    assert cases == 320
+
+
 def test_no_public_callable_takes_a_tolerance_override():
     # tolerances are module constants
     names = {"tol", "tol_herm", "tol_psd", "tol_root", "convergence_tol"}

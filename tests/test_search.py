@@ -563,7 +563,7 @@ def test_every_worst_case_projector_is_exactly_hermitian(d, trials, seed):
 def test_verify_takes_no_eigvalsh_and_one_eigh_per_povm_chunk(monkeypatch, tmp_path):
     # sampled states enter the kernel as their Ginibre factors, so the only
     # decomposition left is _normalized_povm's eigh of each chunk's POVM sums
-    calls = {"eigvalsh": 0, "eigh": 0, "_root_factor": 0}
+    calls = {"eigvalsh": 0, "eigh": 0, "_eig_factor": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -571,7 +571,7 @@ def test_verify_takes_no_eigvalsh_and_one_eigh_per_povm_chunk(monkeypatch, tmp_p
             return fn(*args, **kwargs)
         return wrapped
 
-    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (linalg, "_root_factor")):
+    for owner, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (linalg, "_eig_factor")):
         original = getattr(owner, name)
         wrapped = counting(name, original)
         for mod in (owner, *(m for k, m in sys.modules.items() if k.startswith("clonebound"))):
@@ -581,7 +581,7 @@ def test_verify_takes_no_eigvalsh_and_one_eigh_per_povm_chunk(monkeypatch, tmp_p
     for d in (2, 3, 4):
         assert main(["verify", "--dim", str(d), "--trials", "40", "--seed", "21",
                      "--format", "csv", "--out", str(tmp_path / "v.csv")]) == 0
-    assert calls == {"eigvalsh": 0, "eigh": 3 * 3, "_root_factor": 0}  # 3 chunks per d
+    assert calls == {"eigvalsh": 0, "eigh": 3 * 3, "_eig_factor": 0}  # 3 chunks per d
 
 
 @pytest.mark.parametrize("margins", [
