@@ -25,6 +25,7 @@ from .errors import (
     SoundnessViolation,
     TargetOutOfRange,
 )
+from .linalg import _integral
 from .search import (
     OptimizerConfig,
     _csv_table,
@@ -125,14 +126,14 @@ def _pick(flag_value, doc: dict, key: str, default):
 
 
 def _typed(value, key: str, kind: type):
-    """A config value as ``kind`` (int or float). Every key refuses anything
-    but a JSON number (a string, null, a list or a bool), and an int key
-    refuses a fractional number instead of truncating it."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
-        what = "an integer" if kind is int else "a number"
-        raise OutOfRange(f'config key "{key}" must be {what}, got {value!r}')
-    return kind(value)
+    """A config value as ``kind`` (int or float). An int key is read by the
+    package's count rule, linalg._integral; a float key refuses anything but a
+    JSON number (a string, null, a list or a bool)."""
+    if kind is int:
+        return _integral(value, f'config key "{key}"')
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise OutOfRange(f'config key "{key}" must be a number, got {value!r}')
+    return float(value)
 
 
 def _refuse_unknown_keys(doc: dict, known) -> None:

@@ -19,11 +19,11 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .linalg import _dagger
+from .linalg import (ANGLE_SLACK, CHAIN_SLACK, DEGENERATE_TOL, SOUNDNESS_TOL, TOL_DENOM,
+                     _dagger, _integral)
 from .errors import (
     DegeneratePair,
     DimMismatch,
-    DimTooLarge,
     IndistinguishablePair,
     OutOfRange,
     SoundnessViolation,
@@ -38,10 +38,6 @@ from .states import (
     fidelity,  # noqa: F401  (cloning.fidelity stays importable)
     purifications_with_overlap,
 )
-
-DEGENERATE_TOL = 1e-12
-SOUNDNESS_TOL = 1e-8
-CHAIN_SLACK = 1e-9  # how far an inequality's lhs may exceed its rhs and still hold
 
 
 @dataclass(frozen=True)
@@ -63,18 +59,6 @@ class BoundInput:
         object.__setattr__(self, "n_out", n_out)
 
 
-def _integral(value, name: str) -> int:
-    """A count as an int: an int, a numpy integer or an integral float reads
-    as its value, and anything else, a fractional value included, is
-    refused rather than truncated."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise OutOfRange(f"{name} must be an integer, got {value!r}")
-
-
 def _copy_count_rule(n_in, n_out) -> tuple[int, int]:
     """(n_in, n_out) as ints by the one copy-count rule: both integral, and
     n_out > n_in >= 1."""
@@ -84,7 +68,8 @@ def _copy_count_rule(n_in, n_out) -> tuple[int, int]:
     return n_in, n_out
 
 
-# d^L <= MAX_DIM with d >= 2 needs L <= log2(MAX_DIM)
+# d^L <= MAX_DIM with d >= 2 needs L <= log2(MAX_DIM), so d^min(L, this + 1)
+# passes the cap exactly when d^L does, and stays small for any L
 _MAX_OUTPUTS = linalg.MAX_DIM.bit_length() - 1
 
 
@@ -100,23 +85,20 @@ def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
         raise OutOfRange(f"tensor power {k} must be >= 1")
     if k == 1:
         return rho
-    # d >= 2 passes the cap only at k <= _MAX_OUTPUTS, so d^k stays small
-    if rho.dim ** min(k, _MAX_OUTPUTS + 1) > linalg.MAX_DIM:
-        raise DimTooLarge(f"tensor power {k} of dimension {rho.dim} exceeds the cap "
-                          f"{linalg.MAX_DIM}")
+    linalg._check_cap(rho.dim ** min(k, _MAX_OUTPUTS + 1),
+                      f"tensor power {rho.dim}^{k}: dimension at least")
     return DensityMatrix._from_factor(_kron_power(rho.matrix, k),
                                       _kron_power(rho._psd_factor(), k))
 
 
 def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int):
-    """(d, n_in, n_out) by the part of _problem_dims's rule that forms no
-    power of d: the copy-count rule, both inputs on C^d, and for d >= 2 at most
-    log2(linalg.MAX_DIM) outputs, so that d^L can be formed at all."""
+    """(d, n_in, n_out) by the part of _problem_dims's rule that needs no
+    ancilla: the copy-count rule, both inputs on C^d, and d^L within the cap,
+    checked without forming d^L for a large L."""
     n_in, n_out = _copy_count_rule(n_in, n_out)
     d = _check_same_dim(rho1, rho2)
-    if d > 1 and n_out > _MAX_OUTPUTS:
-        raise DimTooLarge(f"{n_out} outputs give d^L >= 2^{n_out}, over the cap "
-                          f"{linalg.MAX_DIM}")
+    linalg._check_cap(d ** min(n_out, _MAX_OUTPUTS + 1),
+                      f"{n_out} outputs on C^{d}: dimension at least")
     return d, n_in, n_out
 
 
@@ -142,8 +124,7 @@ def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix, anc_dims: tuple,
         raise DimMismatch(f"ancilla dim must be d^M*e = {anc_dim}, got "
                           f"{anc_dims[0]} and {anc_dims[1]}")
     total = d ** n_out * env_dim
-    if total > linalg.MAX_DIM:
-        raise DimTooLarge(f"total dim d^L*e = {total} exceeds {linalg.MAX_DIM}")
+    linalg._check_cap(total, "total dim d^L*e =")
     return n_in, n_out, env_dim, total
 
 
@@ -192,10 +173,6 @@ class CloningSetup:
     @property
     def d(self) -> int:
         return self.rho1.dim
-
-    @property
-    def m_extra(self) -> int:
-        return self.n_out - self.n_in
 
     @property
     def total_dim(self) -> int:
@@ -252,7 +229,7 @@ def absolute_error(delta1: float, delta2: float) -> float:
     d1, d2 = float(delta1), float(delta2)
     half_pi = math.pi / 2.0
     for d in (d1, d2):
-        if not 0.0 <= d <= half_pi + 1e-12:
+        if not 0.0 <= d <= half_pi + ANGLE_SLACK:
             raise OutOfRange(f"delta {d} outside [0, pi/2]")
     return math.sin(d1) + math.sin(d2)
 
@@ -270,7 +247,7 @@ def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
     and u = 1 - cos(angle between the ideal outputs), cross-checked.
 
     The sine of that angle (the relative error's denominator) must agree
-    with sqrt(1 - f^(2L)) (root-fidelity multiplicativity) within 1e-9;
+    with sqrt(1 - f^(2L)) (root-fidelity multiplicativity) within TOL_DENOM;
     disagreement means the inputs or the arithmetic are broken.
     """
     factors = [rho1._psd_factor(), rho2._psd_factor()]
@@ -283,7 +260,7 @@ def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
     u = float(_bures(*ideals))
     sine = float(_sine(u))
     cross = math.sqrt(max(0.0, 1.0 - f ** (2 * n_out)))
-    if abs(sine - cross) > 1e-9:
+    if abs(sine - cross) > TOL_DENOM:
         raise SoundnessViolation(
             f"denominator {sine} disagrees with sqrt(1-f^(2L)) = {cross}"
         )

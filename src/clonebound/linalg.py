@@ -1,8 +1,10 @@
 """Dense complex linear-algebra primitives used by every other module.
 
-Everything here is a pure function on numpy arrays. Matrices are dense,
-double precision, and capped at dimension 4096; tolerances are the module
-constants below.
+Everything here is a pure function on numpy arrays. This module also owns
+the package's input rules, which every public entry goes through: counts
+and dimensions are read by ``_integral``, every dense size by the
+dimension cap check ``_check_cap`` before it is allocated, and every
+tolerance is defined once, in the table below.
 
 Only numpy is imported at load time. scipy is loaded by ``unitary_power``
 alone, on its first call with a non-diagonal unitary. The package calls it
@@ -27,12 +29,52 @@ from .errors import (
     OutOfRange,
 )
 
-TOL_HERM = 1e-10
-TOL_PSD = 1e-10
-TOL_RECON = 1e-9
-MAX_DIM = 4096
+# Every tolerance the package applies, each defined once.
+TOL_HERM = 1e-10  # Frobenius norm of m - m^dagger a Hermitian matrix may have
+TOL_PSD = 1e-10  # how far below 0 a PSD matrix's lowest eigenvalue may be
+TOL_RECON = 1e-9  # relative Frobenius deviation of u^dagger u from I for a unitary
+TOL_UNIT = 1e-10  # how far a trace or a norm may stray from 1
+TOL_SUM = 1e-9  # how far POVM elements may sum from I, or probabilities from 1
+TOL_PROB = 1e-12  # the largest imaginary part or negative value a probability clamps
+TOL_PROJ = 1e-9  # Frobenius deviation of a projector from Hermitian and idempotent
+ROOT_CUTOFF = 1e-14  # eigenvalues below this share of the largest are zeroed, not rooted
+RANK_CUTOFF = 1e-12  # eigenvalues above this count toward purify's rank
+TOL_ROOT = 1e-10  # how far the overlap walk's overlap may miss its target
+PHI_BELOW = 1e-12  # how far below 0 a target overlap may be, read as 0
+PHI_ABOVE = 1e-9  # how far above sqrt(F) a target overlap may be, read as sqrt(F)
+ANGLE_SLACK = 1e-12  # how far above pi/2 an angle absolute_error takes may be
+# u = 1 - sqrt(F) at or below this reads 0. Exact copies at total dimension
+# <= 64 (perfect cloners on random states, identical density pairs) read
+# u <= 1.5e-25, and a state off by sin(delta) = sqrt(2 u) = 1.4e-12, 1e-4 of
+# SOUNDNESS_TOL, reads u = 1e-24. Copies of states with eigenvalues near
+# 1e-8 read more, up to ~1e-15: the polar factor is undetermined there.
+COPY_TOL = 1e-24
+DEGENERATE_TOL = 1e-12  # root fidelity within this of 1 makes two inputs coincide
+TOL_DENOM = 1e-9  # how far the relative error's denominator may miss sqrt(1 - f^(2L))
+SOUNDNESS_TOL = 1e-8  # how far a relative error may dip below the bound before it raises
+CHAIN_SLACK = 1e-9  # how far an inequality's lhs may exceed its rhs and still hold
+
+MAX_DIM = 4096  # the largest dense dimension, checked by _check_cap
 
 _LETTERS = string.ascii_lowercase + string.ascii_uppercase
+
+
+def _integral(value, name: str) -> int:
+    """A count or dimension as an int: an int, a numpy integer or an integral
+    float reads as its value, and anything else, a fractional value or a bool
+    included, is refused rather than truncated."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRange(f"{name} must be an integer, got {value!r}")
+
+
+def _check_cap(size: int, what: str) -> None:
+    """Refuse a dense dimension over MAX_DIM, before it is allocated."""
+    if size > MAX_DIM:
+        raise DimTooLarge(f"{what} {size} exceeds the cap {MAX_DIM}")
 
 
 def as_matrix(m, *, square: bool = True) -> np.ndarray:
@@ -42,8 +84,7 @@ def as_matrix(m, *, square: bool = True) -> np.ndarray:
         raise DimMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise DimMismatch("matrix must be nonempty")
-    if max(a.shape) > MAX_DIM:
-        raise DimTooLarge(f"dimension {max(a.shape)} exceeds the cap {MAX_DIM}")
+    _check_cap(max(a.shape), "dimension")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise NonFinite("matrix contains NaN or Inf entries")
     if square and a.shape[0] != a.shape[1]:
@@ -101,7 +142,7 @@ def hermitian_eig(m):
 def sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-TOL_PSD, 0) clamp to 0.
 
-    Eigenvalues below 1e-14 of the largest are zeroed outright, not rooted:
+    Eigenvalues below ROOT_CUTOFF of the largest are zeroed outright, not rooted:
     a rank-deficient input carries eigensolver noise ~1e-16 in its null
     space, and sqrt would amplify that to ~1e-8 in the result. The root is
     symmetrized, so it is exactly Hermitian.
@@ -129,10 +170,10 @@ def _eig_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _root_weights(w: np.ndarray) -> np.ndarray:
     """sqrt of ascending eigenvalues over a (..., d) stack, with the one
     null-space cutoff behind every PSD root and factor: negative eigenvalues
-    clip to 0, and those below 1e-14 of their own matrix's largest are
+    clip to 0, and those below ROOT_CUTOFF of their own matrix's largest are
     zeroed as noise (see sqrt_psd)."""
     w = np.clip(w, 0.0, None)
-    w[w < 1e-14 * w[..., -1:]] = 0.0
+    w[w < ROOT_CUTOFF * w[..., -1:]] = 0.0
     return np.sqrt(w)
 
 
@@ -147,10 +188,7 @@ def kron(a, b) -> np.ndarray:
     """Kronecker product with the dimension cap enforced on the result."""
     x = as_matrix(a, square=False)
     y = as_matrix(b, square=False)
-    if max(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]) > MAX_DIM:
-        raise DimTooLarge(
-            f"kron result {x.shape[0] * y.shape[0]} exceeds the cap {MAX_DIM}"
-        )
+    _check_cap(max(x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]), "kron result")
     return np.kron(x, y)
 
 
@@ -162,7 +200,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     kept index, as a prod(kept) x prod(kept) matrix (1 x 1 for a full trace).
     """
     a = as_matrix(m)
-    sub = [int(x) for x in dims]
+    sub = [_integral(x, "dims") for x in dims]
     if not sub or any(x <= 0 for x in sub):
         raise DimMismatch("dims must be positive integers")
     total = int(np.prod(sub))
@@ -171,7 +209,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     k = len(sub)
     if 2 * k > len(_LETTERS):
         raise DimTooLarge(f"too many subsystems ({k})")
-    kept = sorted(set(int(i) for i in keep))
+    kept = sorted(set(_integral(i, "keep") for i in keep))
     if kept and (kept[0] < 0 or kept[-1] >= k):
         raise DimMismatch(f"keep indices {kept} outside [0, {k})")
     row = list(_LETTERS[:k])

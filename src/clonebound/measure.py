@@ -14,18 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .linalg import TOL_PROB, TOL_PROJ, TOL_SUM
 from .errors import (
     DimMismatch,
-    DimTooLarge,
     InvalidPOVM,
     NotProjector,
     OutOfRange,
 )
 from .serialize import entries_to_matrix, matrix_to_entries
 from .states import DensityMatrix, PureState, _blank_ancilla, _ginibre
-
-TOL_SUM = 1e-9  # how far POVM elements may sum from I, or probabilities from 1
-TOL_PROB = 1e-12  # the largest imaginary part or negative value a probability clamps
 
 
 def _require_povm(elems: np.ndarray) -> None:
@@ -53,9 +50,6 @@ def _require_resolution(elems: np.ndarray) -> None:
     res = float(np.max(linalg._frobenius(elems.sum(axis=-3) - np.eye(elems.shape[-1]))))
     if res > TOL_SUM:
         raise InvalidPOVM(f"elements sum to identity only within {res:.3e}")
-
-
-TOL_PROJ = 1e-9
 
 
 def _require_projector(p: np.ndarray) -> None:
@@ -189,8 +183,7 @@ def naimark_dilate(povm: POVM) -> DilationResult:
     d = povm.dim
     m = povm.outcomes
     dm = d * m
-    if dm > linalg.MAX_DIM:
-        raise DimTooLarge(f"dilation dim {dm} exceeds the cap {linalg.MAX_DIM}")
+    linalg._check_cap(dm, "dilation dim")
     w = np.zeros((dm, d), dtype=complex)
     rows = np.arange(d) * m
     for a, e in enumerate(povm.elements):
@@ -250,12 +243,12 @@ def _normalized_povm(parts: np.ndarray) -> np.ndarray:
 
 def random_povm(d: int, outcomes: int, seed: int) -> POVM:
     """Random POVM: PSD parts G_a G_a^dagger normalized by the inverse-sqrt sum."""
-    d = int(d)
-    outcomes = int(outcomes)
+    d, outcomes = linalg._integral(d, "d"), linalg._integral(outcomes, "outcomes")
     if d < 1:
         raise OutOfRange(f"dimension {d} must be >= 1")
     if outcomes < 1:
         raise OutOfRange(f"outcomes {outcomes} must be >= 1")
+    linalg._check_cap(d, "dimension")
     rng = np.random.default_rng(seed)
     parts = []
     for _ in range(outcomes):

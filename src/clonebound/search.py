@@ -22,14 +22,13 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .cloning import CHAIN_SLACK as SLACK  # verify's slack is the proof chain's
-from .cloning import SOUNDNESS_TOL, _Channel, _problem_dims, lower_bound
+from .cloning import _Channel, _copy_count_rule, _problem_dims, lower_bound
 from .errors import BudgetZero, OutOfRange, SoundnessViolation
-from .linalg import _dagger, _frobenius
+from .linalg import CHAIN_SLACK, SOUNDNESS_TOL, _dagger, _frobenius, _integral
 from .measure import (
     POVM,
     _normalized_povm,
@@ -73,7 +72,7 @@ class OptimizerConfig:
 
     Each of ``restarts`` restarts takes at most ``iterations`` moves and
     draws its start and moves from ``seed``; the walk's step schedule is
-    fixed, not configured.
+    fixed, not configured. Each field is read as an int by the count rule.
     """
 
     restarts: int = 4
@@ -81,12 +80,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.restarts) < 1 or int(self.iterations) < 1:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _integral(getattr(self, f.name), f.name))
+        if self.restarts < 1 or self.iterations < 1:
             raise BudgetZero(
                 f"restarts={self.restarts}, iterations={self.iterations} "
                 "must both be >= 1"
             )
-        if int(self.seed) < 0:
+        if self.seed < 0:
             raise OutOfRange(f"seed {self.seed} must be >= 0")
 
     def to_dict(self) -> dict:
@@ -202,8 +203,8 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
     evaluations = 0
     fail_limit = max(8, n_params // 8)
 
-    for ridx in range(int(cfg.restarts)):
-        rng = np.random.default_rng([int(cfg.seed), ridx])
+    for ridx in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, ridx])
         v = np.eye(total, dtype=complex) if ridx == 0 else _haar(rng, (total, total))
         cur = objective(v)
         evaluations += 1
@@ -212,7 +213,7 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
         live = v[:, support].any(axis=1).tolist()
         step = _START_STEP
         fails = 0
-        for _ in range(int(cfg.iterations)):
+        for _ in range(cfg.iterations):
             if step < _STOP_STEP:
                 break
             k = int(rng.integers(n_params))
@@ -442,9 +443,9 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     validated as objects and serialized into the report, on the first use of
     its check's worst_case, so a report written as CSV serializes none.
     """
-    d = int(d)
-    trials = int(trials)
-    seed = int(seed)
+    d = _integral(d, "d")
+    trials = _integral(trials, "trials")
+    seed = _integral(seed, "seed")
     if not 2 <= d <= 6:
         raise OutOfRange(f"d={d} outside [2, 6]")
     if trials < 1:
@@ -452,13 +453,13 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     if seed < 0:
         raise OutOfRange(f"seed {seed} must be >= 0")
     rng = np.random.default_rng([seed, d])
-    report = VerificationReport(d=d, trials=trials, seed=seed, slack=SLACK)
+    report = VerificationReport(d=d, trials=trials, seed=seed, slack=CHAIN_SLACK)
     for name, family in _FAMILIES:
         violations = 0
         worst = None  # (margin, describe of its chunk, index in the chunk)
         for start in range(0, trials, CHUNK):
             margins, describe = family(rng, d, min(CHUNK, trials - start))
-            violations += int(np.count_nonzero(~(margins <= SLACK)))
+            violations += int(np.count_nonzero(~(margins <= CHAIN_SLACK)))
             i = int(np.argmax(margins))
             # np.argmax's rule across chunks: a later chunk wins only with a
             # larger margin, or with a NaN over a number
@@ -482,6 +483,7 @@ class SweepRow:
 
 def sweep_bound(f_grid, phi: float, n_in: int = 1, n_out: int = 2) -> list[SweepRow]:
     """Evaluate the lower bound along a grid of f values at fixed phi."""
+    n_in, n_out = _copy_count_rule(n_in, n_out)
     phi = float(phi)
     if not 0.0 <= phi <= 1.0:
         raise OutOfRange(f"phi={phi} outside [0, 1]")
@@ -490,7 +492,7 @@ def sweep_bound(f_grid, phi: float, n_in: int = 1, n_out: int = 2) -> list[Sweep
         f = float(f)
         if not 0.0 <= f < 1.0:
             raise OutOfRange(f"grid value f={f} outside [0, 1)")
-        rows.append(SweepRow(f, phi, int(n_in), int(n_out),
+        rows.append(SweepRow(f, phi, n_in, n_out,
                              lower_bound(f, phi, n_in, n_out)))
     return rows
 

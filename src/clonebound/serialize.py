@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .errors import DimMismatch
+from .linalg import _integral
 
 
 def _to_pairs(a) -> list[list[float]]:
@@ -68,7 +69,7 @@ def matrix_to_entries(m: np.ndarray) -> list[list[float]]:
 
 def entries_to_matrix(entries, dim: int) -> np.ndarray:
     """Rebuild a dim x dim complex matrix from row-major [re, im] pairs."""
-    return _from_pairs(entries, (int(dim), int(dim)))
+    return _from_pairs(entries, (_integral(dim, "dim"),) * 2)
 
 
 def vector_to_entries(v: np.ndarray) -> list[list[float]]:
@@ -78,4 +79,4 @@ def vector_to_entries(v: np.ndarray) -> list[list[float]]:
 
 def entries_to_vector(entries, dim: int) -> np.ndarray:
     """Rebuild a complex vector of length dim from [re, im] pairs."""
-    return _from_pairs(entries, (int(dim),))
+    return _from_pairs(entries, (_integral(dim, "dim"),))

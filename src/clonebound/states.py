@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .linalg import COPY_TOL, PHI_ABOVE, PHI_BELOW, RANK_CUTOFF, TOL_ROOT, TOL_UNIT
 from .errors import (
     BadRank,
     DimMismatch,
@@ -34,9 +35,6 @@ from .serialize import (
     vector_to_entries,
 )
 
-RANK_CUTOFF = 1e-12
-TOL_ROOT = 1e-10
-TOL_UNIT = 1e-10  # how far a trace or a norm may stray from 1
 _BRACKET_SAMPLES = 64
 
 
@@ -155,8 +153,9 @@ class PureState:
 
     def __init__(self, amp):
         a = np.asarray(amp, dtype=complex).reshape(-1)
-        if a.size == 0 or a.size > linalg.MAX_DIM:
-            raise DimMismatch(f"state vector length {a.size} invalid")
+        if a.size == 0:
+            raise DimMismatch("state vector must be nonempty")
+        linalg._check_cap(a.size, "state vector length")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise NotDensity("state vector contains NaN or Inf")
         _require_unit(a)
@@ -206,14 +205,6 @@ def _check_same_dim(chi: DensityMatrix, omega: DensityMatrix) -> int:
     if chi.dim != omega.dim:
         raise DimMismatch(f"dims differ: {chi.dim} vs {omega.dim}")
     return chi.dim
-
-
-# u = 1 - sqrt(F) at or below this reads 0. Exact copies at total dimension
-# <= 64 (perfect cloners on random states, identical density pairs) read
-# u <= 1.5e-25, and a state off by sin(delta) = sqrt(2 u) = 1.4e-12, 1e-4 of
-# SOUNDNESS_TOL, reads u = 1e-24. Copies of states with eigenvalues near
-# 1e-8 read more, up to ~1e-15: the polar factor is undetermined there.
-COPY_TOL = 1e-24
 
 
 def _bures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -286,9 +277,10 @@ def purify(rho: DensityMatrix, env_dim: int) -> PureState:
     computational-basis environment vectors, so the construction is
     deterministic. Requires env_dim >= rank(rho).
     """
-    e = int(env_dim)
+    e = linalg._integral(env_dim, "env_dim")
     if e < 1:
         raise EnvTooSmall(f"env_dim {e} must be >= 1")
+    linalg._check_cap(rho.dim * e, "purification dimension")
     w, u = rho._eigen()
     order = np.argsort(w)[::-1]
     w = np.clip(w[order], 0.0, None)
@@ -431,7 +423,7 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     m, s, p, q = _overlap_frame(*_roots(rho1, rho2))
     sum_s = float(np.sum(s))
     sqrt_f = min(sum_s, 1.0)
-    if not -1e-12 <= target <= sqrt_f + 1e-9:
+    if not -PHI_BELOW <= target <= sqrt_f + PHI_ABOVE:
         raise TargetOutOfRange(f"phi={target} outside [0, sqrt(F)={sqrt_f}]")
     target = min(max(target, 0.0), sqrt_f)
 
@@ -504,11 +496,11 @@ def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     Uses G G^dagger with G a d x rank complex Gaussian factor, normalized to
     unit trace; the column count controls the rank.
     """
-    d = int(d)
-    rank = int(rank)
+    d, rank = linalg._integral(d, "d"), linalg._integral(rank, "rank")
     if d < 1:
         raise BadRank(f"dimension {d} must be >= 1")
     if not 1 <= rank <= d:
         raise BadRank(f"rank {rank} outside [1, {d}]")
+    linalg._check_cap(d, "dimension")
     rng = np.random.default_rng(seed)
     return DensityMatrix(_density_from_factor(_ginibre(rng, (d, rank))))

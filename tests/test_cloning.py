@@ -539,6 +539,7 @@ _BAD_DIMS = {
     # d^L would have 4.8 million digits; L > log2(4096) is refused first.
     # Named to sort last, so the other cases keep their seeds.
     "too_many_outputs_for_the_cap": ((3, 3), 3, 1, 10 ** 7, 1, DimTooLarge),
+    "zero_env_dim": ((2, 2), 4, 1, 2, 0, OutOfRange),  # sorts last, as above
 }
 
 
@@ -554,6 +555,7 @@ def test_every_entry_point_refuses_a_bad_dimension_alike(name):
     with pytest.raises(error):
         minimize_relative_error(rho1, rho2, ups, ups, dims=(n_in, n_out, env),
                                 cfg=OptimizerConfig(restarts=1, iterations=1))
-    if name != "ancilla_not_d_to_the_m_times_e":  # it builds its own ancilla
+    # it builds its own ancilla and environment
+    if name not in ("ancilla_not_d_to_the_m_times_e", "zero_env_dim"):
         with pytest.raises(error):
             perfect_cloning_setup(rho1, rho2, 0.0, n_in, n_out)

@@ -1,10 +1,19 @@
 import importlib
 import inspect
+import json
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clonebound import linalg
+from clonebound import cloning, linalg, measure, search, states
+from clonebound.cloning import lower_bound, perfect_cloning_setup, tensor_power
+from clonebound.measure import POVM, naimark_dilate, random_povm
+from clonebound.search import OptimizerConfig, sweep_bound, sweep_to_json, verify_inequalities
+from clonebound.serialize import entries_to_matrix, entries_to_vector
+from clonebound.states import DensityMatrix, PureState, purify, random_density
 from clonebound.errors import (
     DimMismatch,
     DimTooLarge,
@@ -12,6 +21,7 @@ from clonebound.errors import (
     NotHermitian,
     NotPSD,
     NotUnitary,
+    OutOfRange,
 )
 
 import oracles
@@ -22,6 +32,8 @@ def test_as_matrix_rejects_non_2d():
         linalg.as_matrix(np.zeros(4))
     with pytest.raises(DimMismatch):
         linalg.as_matrix(np.zeros((2, 2, 2)))
+    with pytest.raises(DimMismatch):
+        linalg.as_matrix(np.zeros((0, 3)))
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -129,6 +141,10 @@ def test_partial_trace_validates():
         linalg.partial_trace(np.eye(4), [2, 3], {0})
     with pytest.raises(DimMismatch):
         linalg.partial_trace(np.eye(4), [2, 2], {0, 5})
+    with pytest.raises(DimMismatch):
+        linalg.partial_trace(np.eye(4), [4, 0], {0})
+    with pytest.raises(DimTooLarge):  # 27 subsystems need 54 einsum letters
+        linalg.partial_trace(np.eye(1), [1] * 27, {0})
 
 
 def test_unitary_power_endpoints():
@@ -136,6 +152,9 @@ def test_unitary_power_endpoints():
     u = oracles.haar_unitary(rng, 4)
     assert np.linalg.norm(linalg.unitary_power(u, 0.0) - np.eye(4)) < 1e-12
     assert np.linalg.norm(linalg.unitary_power(u, 1.0) - u) < 1e-12
+    for t in (-0.1, 1.1):
+        with pytest.raises(OutOfRange):
+            linalg.unitary_power(u, t)
 
 
 def test_unitary_power_composes():
@@ -204,3 +223,117 @@ def test_no_public_callable_takes_a_tolerance_override():
                     if inspect.isfunction(meth):
                         params |= set(inspect.signature(meth).parameters)
             assert not params & names, (mod, name, params & names)
+
+
+_QUBIT = DensityMatrix(np.diag([0.75, 0.25]).astype(complex))
+
+# every public count or dimension argument: (call with the value, returning
+# arrays, numbers or JSON text; an integral value the call accepts; the
+# argument's name in the refusal)
+_COUNTS = {
+    "purify.env_dim": (lambda v: purify(_QUBIT, v).amp, 2, "env_dim"),
+    "random_density.d": (lambda v: random_density(v, 1, 0).matrix, 2, "d"),
+    "random_density.rank": (lambda v: random_density(3, v, 0).matrix, 2, "rank"),
+    "random_povm.d": (lambda v: np.stack(random_povm(v, 2, 0).elements), 2, "d"),
+    "random_povm.outcomes": (lambda v: np.stack(random_povm(2, v, 0).elements), 3,
+                             "outcomes"),
+    "verify_inequalities.d": (lambda v: verify_inequalities(v, 3, 0).to_json(), 2, "d"),
+    "verify_inequalities.trials": (lambda v: verify_inequalities(2, v, 0).to_json(), 3,
+                                   "trials"),
+    "verify_inequalities.seed": (lambda v: verify_inequalities(2, 3, v).to_json(), 1, "seed"),
+    "OptimizerConfig.restarts": (lambda v: OptimizerConfig(restarts=v).to_dict(), 2,
+                                 "restarts"),
+    "OptimizerConfig.iterations": (lambda v: OptimizerConfig(iterations=v).to_dict(), 3,
+                                   "iterations"),
+    "OptimizerConfig.seed": (lambda v: OptimizerConfig(seed=v).to_dict(), 1, "seed"),
+    "entries_to_matrix.dim": (lambda v: entries_to_matrix([[0.5, 0.0]] * 4, v), 2, "dim"),
+    "entries_to_vector.dim": (lambda v: entries_to_vector([[0.5, 0.0]] * 3, v), 3, "dim"),
+    "lower_bound.n_in": (lambda v: lower_bound(0.5, 0.9, v, 3), 2, "n_in"),
+    "lower_bound.n_out": (lambda v: lower_bound(0.5, 0.9, 1, v), 3, "n_out"),
+    "perfect_cloning_setup.n_out": (
+        lambda v: perfect_cloning_setup(_QUBIT, DensityMatrix(np.eye(2) / 2), 0.5, 1,
+                                        v).to_dict(), 2, "n_out"),
+    "tensor_power.k": (lambda v: tensor_power(_QUBIT, v).matrix, 2, "tensor power"),
+    "_problem_dims.env_dim": (
+        lambda v: cloning._problem_dims(_QUBIT, _QUBIT, (4, 4), 1, 2, v), 2, "env_dim"),
+    "sweep_bound.n_in": (lambda v: sweep_to_json(sweep_bound([0.3], 1.0, v, 3)), 1, "n_in"),
+    "partial_trace.dims": (lambda v: linalg.partial_trace(np.eye(4), [2, v], {0}), 2, "dims"),
+    "partial_trace.keep": (lambda v: linalg.partial_trace(np.eye(4), [2, 2], [v]), 1, "keep"),
+}
+
+
+def _view(result) -> str:
+    """A call's result as text that tells an int from a float."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes().hex() + str(result.shape)
+    return result if isinstance(result, str) else json.dumps(result)
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNTS))
+def test_every_count_argument_is_read_by_the_one_count_rule(entry):
+    call, good, name = _COUNTS[entry]
+    for bad in (good + 0.5, True, np.bool_(True), str(good), [good]):
+        with pytest.raises(OutOfRange, match=rf"^{re.escape(name)} must be an integer, got "):
+            call(bad)
+    want = _view(call(good))
+    for same in (float(good), np.float64(good), np.int64(good)):
+        assert _view(call(same)) == want, same
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("allocated before the cap was checked")
+
+
+_OVER = linalg.MAX_DIM + 1
+
+# an entry over the cap: (the first thing it would call to allocate, its
+# arguments, built before that call is patched, and the entry)
+_OVER_CAP = {
+    "PureState": ((np, "zeros"), lambda: (np.ones(_OVER) / np.sqrt(_OVER),),
+                  lambda a: PureState(a)),
+    "naimark_dilate": ((np, "zeros"),
+                       lambda: (POVM([[[1.0 / _OVER]]] * _OVER),),
+                       naimark_dilate),
+    "purify": ((np, "zeros"), lambda: (_QUBIT, 2 ** 40), purify),
+    "random_density": ((states, "_ginibre"), lambda: (_OVER, 1, 0), random_density),
+    "random_povm": ((measure, "_ginibre"), lambda: (_OVER, 2, 0), random_povm),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_OVER_CAP))
+def test_an_over_cap_size_is_refused_before_it_is_allocated(monkeypatch, entry):
+    (owner, attr), make_args, call = _OVER_CAP[entry]
+    args = make_args()
+    monkeypatch.setattr(owner, attr, _no_allocation)
+    with pytest.raises(DimTooLarge, match=str(linalg.MAX_DIM)):
+        call(*args)
+
+
+# linalg's tolerance table, name and literal; no value may change
+_TOLERANCES = {
+    "TOL_HERM": "1e-10", "TOL_PSD": "1e-10", "TOL_RECON": "1e-9", "TOL_UNIT": "1e-10",
+    "TOL_SUM": "1e-9", "TOL_PROB": "1e-12", "TOL_PROJ": "1e-9", "ROOT_CUTOFF": "1e-14",
+    "RANK_CUTOFF": "1e-12", "TOL_ROOT": "1e-10", "PHI_BELOW": "1e-12", "PHI_ABOVE": "1e-9",
+    "ANGLE_SLACK": "1e-12", "COPY_TOL": "1e-24", "DEGENERATE_TOL": "1e-12",
+    "TOL_DENOM": "1e-9", "SOUNDNESS_TOL": "1e-8", "CHAIN_SLACK": "1e-9",
+}
+
+
+def test_every_tolerance_is_defined_once_in_linalgs_table():
+    # every e-notation literal with a negative exponent in src/ is a
+    # module-level assignment; the one outside linalg is the search's step
+    # schedule, which is not a tolerance
+    found = {}
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        with open(path, encoding="utf-8") as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string):
+                    assign = re.match(r"([A-Z_]+) = ", tok.line)
+                    key = (path.stem, assign.group(1) if assign else tok.line.strip())
+                    found.setdefault(key, []).append(tok.string)
+    want = {("linalg", name): [text] for name, text in _TOLERANCES.items()}
+    assert found == {**want, ("search", "_STOP_STEP"): ["1e-9"]}
+    for module in (states, measure, cloning, search):
+        for name in _TOLERANCES.keys() & vars(module).keys():
+            assert getattr(module, name) is getattr(linalg, name), (module, name)
+

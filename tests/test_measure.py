@@ -40,6 +40,8 @@ def _zero_state(d=2) -> DensityMatrix:
 
 def test_povm_validation():
     with pytest.raises(InvalidPOVM):
+        POVM([np.eye(2) * 0.5, np.eye(3) * 0.5])  # elements of different dims
+    with pytest.raises(InvalidPOVM):
         POVM([np.eye(2) * 0.5])  # sums to half identity
     with pytest.raises(InvalidPOVM):
         POVM([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])  # negative element
@@ -98,6 +100,12 @@ def test_projective_measurement_validation():
     assert good.outcomes == 2
     with pytest.raises(NotProjector):
         ProjectiveMeasurement([np.diag([0.5, 0.0]), np.diag([0.5, 1.0])])
+    with pytest.raises(NotProjector):
+        ProjectiveMeasurement([])
+    with pytest.raises(NotProjector):
+        ProjectiveMeasurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+    with pytest.raises(NotProjector):  # orthogonal projectors that miss |1>
+        ProjectiveMeasurement([np.diag([1.0, 0.0])])
     v = np.array([1.0, 1.0]) / np.sqrt(2)
     with pytest.raises(NotProjector):  # not mutually orthogonal
         ProjectiveMeasurement([np.outer(v, v), np.diag([1.0, 0.0]),
@@ -209,6 +217,10 @@ def test_projector_gap_rejects_non_projector():
     x = PureState([1.0, 0.0])
     with pytest.raises(NotProjector):
         projector_gap(x, x, np.diag([0.5, 0.5]))
+    with pytest.raises(DimMismatch):
+        projector_gap(x, x, np.eye(3))
+    with pytest.raises(DimMismatch):
+        projector_gap(x, PureState([1.0, 0.0, 0.0]), np.eye(2))
 
 
 def test_random_povm_properties():

@@ -59,6 +59,17 @@ def test_optimizer_config_validation():
         OptimizerConfig(seed=-1)
 
 
+def test_a_search_reports_the_counts_that_ran():
+    cfg = OptimizerConfig(restarts=2.0, iterations=np.int64(3), seed=np.float64(1))
+    res = restricted_cloner_search(*_random_pair(5), cfg)
+    assert res.config == OptimizerConfig(2, 3, 1)
+    assert all(type(getattr(res.config, f)) is int for f in ("restarts", "iterations", "seed"))
+    assert [len(t) for t in res.restart_traces] == [4, 4]
+    assert '"config": {"restarts": 2, "iterations": 3, "seed": 1}' in res.to_json()
+    assert res.to_json() == restricted_cloner_search(*_random_pair(5),
+                                                     OptimizerConfig(2, 3, 1)).to_json()
+
+
 def test_purifying_ancilla_identity_start_stays_optimal():
     rho1, rho2 = _random_pair(101)
     f = math.sqrt(fidelity(rho1, rho2))
@@ -603,7 +614,7 @@ def test_verify_worst_case_across_chunks_is_the_global_argmax(monkeypatch, margi
     worst = int(np.argmax(margins))
     assert check.worst_case == {"trial": worst}
     assert check.max_margin == margins[worst] or math.isnan(check.max_margin)
-    assert check.violations == np.count_nonzero(~(margins <= search.SLACK))
+    assert check.violations == np.count_nonzero(~(margins <= cloning.CHAIN_SLACK))
 
 
 def test_sweep_bound_rows():

@@ -84,6 +84,8 @@ def test_a_density_matrix_is_fixed_and_apart_from_the_callers_array():
 def test_pure_state_validation_and_round_trip():
     with pytest.raises(NotDensity):
         PureState([1.0, 1.0])
+    with pytest.raises(NotDensity):
+        PureState([1.0, np.nan])
     x = PureState(np.array([1.0, 1j]) / np.sqrt(2))
     again = PureState.from_dict(x.to_dict())
     assert np.array_equal(x.amp, again.amp)
@@ -154,6 +156,10 @@ def test_fidelity_is_max_purification_overlap():
 def test_fidelity_dim_mismatch():
     with pytest.raises(DimMismatch):
         fidelity(_zero(), _mixed(3))
+    with pytest.raises(DimMismatch):
+        angle_pure(PureState([1.0, 0.0]), PureState([1.0, 0.0, 0.0]))
+    with pytest.raises(DimMismatch):
+        overlap_under(np.eye(3), _zero(), _plus())
 
 
 def test_angle_frozen_and_triangle():
@@ -194,6 +200,8 @@ def test_purify_marginal_and_failures():
         assert np.linalg.norm(marg - rho.matrix) < 1e-10
     with pytest.raises(EnvTooSmall):
         purify(_mixed(3), 2)  # rank 3 needs env >= 3
+    with pytest.raises(EnvTooSmall):
+        purify(_zero(), 0)
 
 
 def test_purify_maximally_mixed_is_maximally_entangled():
@@ -230,6 +238,8 @@ def test_zero_overlap_needs_dim_two():
     one = DensityMatrix(np.array([[1.0]], dtype=complex))
     with pytest.raises(DimTooSmall):
         zero_overlap_unitary(one, one)
+    with pytest.raises(DimTooSmall):
+        target_overlap_unitary(one, one, 1.0)
 
 
 def test_target_overlap_hits_interior_values():
@@ -345,6 +355,8 @@ def test_random_density_properties():
         random_density(2, 3, seed=0)
     with pytest.raises(BadRank):
         random_density(2, 0, seed=0)
+    with pytest.raises(BadRank):
+        random_density(0, 1, seed=0)
 
 
 def _eig_factor(m: np.ndarray) -> np.ndarray:
