@@ -187,6 +187,8 @@ def cmd_purify(args) -> int:
 _OPTIMIZE_KEYS = ("rho1", "rho2", "n", "l", "env", "upsilon1", "upsilon2", "restricted",
                   *(f.name for f in dataclasses.fields(OptimizerConfig)))
 _OPTIMIZE_CSV = "best_r,bound,gap,f,phi,n_in,n_out,env_dim,evaluations"
+# n_in, n_out and env_dim as the problem rule names them in a refusal
+_CONFIG_NAMES = ('config key "n"', 'config key "l"', 'config key "env"')
 
 
 def cmd_optimize(args) -> int:
@@ -220,28 +222,23 @@ def cmd_optimize(args) -> int:
         result = restricted_cloner_search(rho1, rho2, cfg)
     else:
         d = rho1.dim
-        n_in = _typed(doc.get("n", 1), "n", int)
-        n_out = _typed(doc.get("l", 2), "l", int)
-        if n_in < 1:
-            raise OutOfRange(f'config key "n" must be >= 1, got {n_in}')
-        if n_out <= n_in:
-            raise OutOfRange(f'config key "l" must exceed n = {n_in}, got {n_out}')
+        n_in, n_out = doc.get("n", 1), doc.get("l", 2)
         explicit = "upsilon1" in doc or "upsilon2" in doc
         env_dim = None
         if "env" in doc or not explicit:
             env_dim = _typed(doc.get("env", d * d), "env", int)
-            if env_dim < 1:
-                raise OutOfRange(f'config key "env" must be >= 1, got {env_dim}')
         if explicit:
             ups1, ups2 = _state_from(doc, "upsilon1"), _state_from(doc, "upsilon2")
+            anc_dims = (ups1.dim, ups2.dim)
         else:
-            # the dimension cap, before d^L is formed or a blank allocated
-            _copy_counts(rho1, rho2, n_in, n_out)
-            anc_dim = d ** (n_out - n_in) * env_dim
-            _problem_dims(rho1, rho2, (anc_dim, anc_dim), n_in, n_out, env_dim)
-            ups1 = ups2 = _blank_ancilla(anc_dim)
-        result = minimize_relative_error(rho1, rho2, ups1, ups2,
-                                         dims=(n_in, n_out, env_dim), cfg=cfg)
+            # the copy counts and d^L within the cap, before d^M is formed
+            _, n_in, n_out = _copy_counts(rho1, rho2, n_in, n_out, _CONFIG_NAMES)
+            anc_dims = (d ** (n_out - n_in) * env_dim,) * 2
+        # the problem rule, naming the config keys, before a blank is built
+        dims = _problem_dims(rho1, rho2, anc_dims, n_in, n_out, env_dim, _CONFIG_NAMES)[:3]
+        if not explicit:
+            ups1 = ups2 = _blank_ancilla(anc_dims[0])
+        result = minimize_relative_error(rho1, rho2, ups1, ups2, dims=dims, cfg=cfg)
     if args.format == "csv":
         row = [getattr(result, key) for key in _OPTIMIZE_CSV.split(",")]
         _write(_csv_table(_OPTIMIZE_CSV, [row]), args.out)

@@ -59,12 +59,19 @@ class BoundInput:
         object.__setattr__(self, "n_out", n_out)
 
 
-def _copy_count_rule(n_in, n_out) -> tuple[int, int]:
+# the names the copy-count and problem rules give n_in, n_out and env_dim in
+# their refusals; a caller that took them under other names passes those
+_DIM_NAMES = ("n_in", "n_out", "env_dim")
+
+
+def _copy_count_rule(n_in, n_out, names=_DIM_NAMES) -> tuple[int, int]:
     """(n_in, n_out) as ints by the one copy-count rule: both integral, and
-    n_out > n_in >= 1."""
-    n_in, n_out = _integral(n_in, "n_in"), _integral(n_out, "n_out")
-    if n_in < 1 or n_out <= n_in:
-        raise OutOfRange(f"need n_out > n_in >= 1, got n_in={n_in}, n_out={n_out}")
+    n_out > n_in >= 1. A refusal names the argument by ``names``."""
+    n_in, n_out = _integral(n_in, names[0]), _integral(n_out, names[1])
+    if n_in < 1:
+        raise OutOfRange(f"{names[0]} must be >= 1, got {n_in}")
+    if n_out <= n_in:
+        raise OutOfRange(f"{names[1]} must exceed {names[0]} = {n_in}, got {n_out}")
     return n_in, n_out
 
 
@@ -91,11 +98,12 @@ def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
                                       _kron_power(rho._psd_factor(), k))
 
 
-def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int):
+def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int,
+                 names=_DIM_NAMES):
     """(d, n_in, n_out) by the part of _problem_dims's rule that needs no
     ancilla: the copy-count rule, both inputs on C^d, and d^L within the cap,
     checked without forming d^L for a large L."""
-    n_in, n_out = _copy_count_rule(n_in, n_out)
+    n_in, n_out = _copy_count_rule(n_in, n_out, names)
     d = _check_same_dim(rho1, rho2)
     linalg._check_cap(d ** min(n_out, _MAX_OUTPUTS + 1),
                       f"{n_out} outputs on C^{d}: dimension at least")
@@ -103,22 +111,23 @@ def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int
 
 
 def _problem_dims(rho1: DensityMatrix, rho2: DensityMatrix, anc_dims: tuple,
-                  n_in: int, n_out: int, env_dim: int | None = None):
+                  n_in: int, n_out: int, env_dim: int | None = None, names=_DIM_NAMES):
     """(n_in, n_out, env_dim, d^L * e) of an N -> L cloning problem, by the one
     rule: n_out > n_in >= 1, both inputs on C^d, both ancillas (of dimensions
     ``anc_dims``) on C^(d^M * e) with M = n_out - n_in, and
     d^L * e <= linalg.MAX_DIM. A None env_dim is read off the first ancilla,
-    whose dimension d^M must then divide."""
-    d, n_in, n_out = _copy_counts(rho1, rho2, n_in, n_out)
+    whose dimension d^M must then divide. A refusal names n_in, n_out and
+    env_dim by ``names``."""
+    d, n_in, n_out = _copy_counts(rho1, rho2, n_in, n_out, names)
     extra_dim = d ** (n_out - n_in)
     if env_dim is None:
         if anc_dims[0] % extra_dim:
             raise OutOfRange(f"ancilla dim {anc_dims[0]} not divisible by "
                              f"d^M = {extra_dim}")
         env_dim = anc_dims[0] // extra_dim
-    env_dim = _integral(env_dim, "env_dim")
+    env_dim = _integral(env_dim, names[2])
     if env_dim < 1:
-        raise OutOfRange(f"env_dim {env_dim} must be >= 1")
+        raise OutOfRange(f"{names[2]} must be >= 1, got {env_dim}")
     anc_dim = extra_dim * env_dim
     if tuple(anc_dims) != (anc_dim, anc_dim):
         raise DimMismatch(f"ancilla dim must be d^M*e = {anc_dim}, got "
@@ -239,7 +248,7 @@ def _kron_power(k: np.ndarray, n: int) -> np.ndarray:
     raised to the power n entrywise, with no product loop."""
     if k.size == 1:
         return k ** n
-    return reduce(np.kron, itertools.repeat(k, n))
+    return reduce(linalg._kron, itertools.repeat(k, n))
 
 
 def _ideal_factors(rho1: DensityMatrix, rho2: DensityMatrix, n_out: int):
@@ -312,7 +321,7 @@ class _Channel:
         self.phi = 1.0 - float(_bures(*ancillas))
         self.bound = lower_bound(self.f, self.phi, n_in, n_out)
         self.ideal_factors = _side_by_side(ideals)
-        self.inputs = _side_by_side([np.kron(_kron_power(k, n_in), y)
+        self.inputs = _side_by_side([linalg._kron(_kron_power(k, n_in), y)
                                      for k, y in zip(factors, ancillas)])
         # the joint-input rows where K_1 or K_2 is nonzero: a row of V that is
         # zero on them leaves its row of V K zero, whatever else it holds

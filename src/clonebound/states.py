@@ -12,7 +12,7 @@ found by a scalar root search and the unitary is built once, at the root.
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +73,12 @@ class DensityMatrix:
     The state is fixed after construction: ``matrix`` is a read-only array
     and cannot be reassigned. The state keeps the one eigendecomposition its
     validation ran, or the factor K, K K^dagger = matrix, it was built from;
-    its roots, factors and purifications are all derived from that.
+    its roots, factors and purifications are all derived from that. Its PSD
+    root is formed on first use and kept, read-only, so every overlap
+    computation on the state shares one root.
     """
 
-    __slots__ = ("_matrix", "_eig", "_factor")
+    __slots__ = ("_matrix", "_eig", "_factor", "_root")
 
     def __init__(self, matrix):
         a = linalg._fixed_matrix(matrix)
@@ -94,7 +96,7 @@ class DensityMatrix:
 
     def _hold(self, matrix: np.ndarray, eig, factor) -> None:
         matrix.flags.writeable = False
-        self._matrix, self._eig, self._factor = matrix, eig, factor
+        self._matrix, self._eig, self._factor, self._root = matrix, eig, factor, None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -125,8 +127,12 @@ class DensityMatrix:
         return k[:, k.any(axis=0)]
 
     def _sqrt(self) -> np.ndarray:
-        """The PSD root of the matrix, from its decomposition."""
-        return linalg._eig_sqrt(*self._eigen())
+        """The PSD root of the matrix, from its decomposition: formed on first
+        use and kept from then on, as a read-only array."""
+        if self._root is None:
+            self._root = linalg._eig_sqrt(*self._eigen())
+            self._root.flags.writeable = False
+        return self._root
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"
@@ -310,11 +316,6 @@ def _roots(rho1: DensityMatrix, rho2: DensityMatrix):
     return rho1._sqrt(), rho2._sqrt()
 
 
-def _cyclic_shift(d: int) -> np.ndarray:
-    # permutation with zero diagonal for d >= 2: e_j -> e_{(j+1) mod d}
-    return np.roll(np.eye(d, dtype=complex), 1, axis=0)
-
-
 def _overlap_frame(a: np.ndarray, b: np.ndarray):
     """M = a b, its singular values s and the unitaries P, Q of its SVD
     M = P diag(s) Q^dagger."""
@@ -328,9 +329,16 @@ def _max_unitary(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q @ p.conj().T
 
 
+def _shifted(q: np.ndarray) -> np.ndarray:
+    """Q C, with C the cyclic shift e_j -> e_{(j+1) mod d}, a permutation with
+    zero diagonal for d >= 2: column j of Q C is column j + 1 (mod d) of Q,
+    so no product is formed."""
+    return np.roll(q, -1, axis=1)
+
+
 def _zero_unitary(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Q C P^dagger, with C the cyclic shift: a unitary of zero overlap."""
-    return q @ _cyclic_shift(p.shape[0]) @ p.conj().T
+    return _shifted(q) @ p.conj().T
 
 
 def _result(m: np.ndarray, v: np.ndarray, t: float) -> OverlapUnitaryResult:
@@ -376,13 +384,20 @@ def _walk_unitary(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
     theta = _root_phases(d)
     f = np.exp(1j * np.multiply.outer(np.arange(d), theta)) / np.sqrt(d)
     lam_t = np.diagonal(linalg.unitary_power(np.diag(np.exp(1j * theta)), t))
-    return ((q @ _cyclic_shift(d) @ f) * lam_t) @ linalg._dagger(p @ f)
+    return ((_shifted(q) @ f) * lam_t) @ linalg._dagger(p @ f)
 
 
 def _path_profile(t, d: int):
     """|c_d(t)| = |(1/d) sum_k exp(i (t-1) theta_k)|, vectorised over t."""
     s = np.multiply.outer(np.subtract(t, 1.0), _root_phases(d))
     return np.abs(np.exp(1j * s).sum(axis=-1)) / d
+
+
+def _path_magnitude(t: float, d: int) -> float:
+    """|c_d(t)| at one t in [0, 1) in closed form, |sin(pi s) / (d sin(pi s / d))|
+    with s = 1 - t (see target_overlap_unitary)."""
+    x = math.pi * (1.0 - t)
+    return abs(math.sin(x) / (d * math.sin(x / d)))
 
 
 def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -404,7 +419,8 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     how an eigensolver rounds.
 
     The overlap along the path is known in closed form, so neither the grid
-    nor the bisection builds a matrix: Tr(sqrt(rho1) sqrt(rho2) V(t)) =
+    nor the bisection builds a matrix; each bisection step takes the
+    magnitude below from two sines. Tr(sqrt(rho1) sqrt(rho2) V(t)) =
     Tr(Sigma C (C^dagger)^t). The matrix C (C^dagger)^t is circulant, so
     its diagonal is constant and g(t) = sqrt(F) |c_d(t)|, sqrt(F) = Tr Sigma,
     with c_d(t) = (1/d) sum_k exp(i (t-1) theta_k) and theta_k the phases
@@ -415,6 +431,9 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     (0, pi), so |c_d| falls strictly in s on (0, 1) for every d and g rises
     from 0 to sqrt(F). The grid bracket is kept as the runtime guard of
     that for every d up to linalg.MAX_DIM.
+
+    The roots come from the states, which keep them (see DensityMatrix), so
+    purifications_with_overlap reuses the pair formed here.
     """
     d = _check_same_dim(rho1, rho2)
     if d < 2:
@@ -440,12 +459,10 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     i = hits[0]
     lo, g_lo, hi = float(ts[i]), float(gs[i]), float(ts[i + 1])
 
-    phases = _root_phases(d).tolist()
     mid = lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        w = 1j * (mid - 1.0)
-        g_mid = sum_s * abs(sum(cmath.exp(w * x) for x in phases)) / d
+        g_mid = sum_s * _path_magnitude(mid, d)
         if abs(g_mid - target) <= TOL_ROOT:
             break
         if (g_lo - target) * (g_mid - target) <= 0.0:
@@ -460,7 +477,8 @@ def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
     """Purifications of rho1 and rho2 on H(x)H whose overlap equals phi.
 
     Both marginals over the second factor recover the inputs; phi can be any
-    value in [0, sqrt(F(rho1, rho2))].
+    value in [0, sqrt(F(rho1, rho2))]. The roots are the ones
+    target_overlap_unitary formed, kept on the states.
     """
     v = target_overlap_unitary(rho1, rho2, phi).v
     a, b = _roots(rho1, rho2)

@@ -536,6 +536,32 @@ def test_optimize_refuses_a_bad_dimension_before_building_the_blank(
     assert key in captured.err
 
 
+@pytest.mark.parametrize("explicit", [False, True])
+@pytest.mark.parametrize("extra, message", [
+    ({"n": 0}, 'config key "n" must be >= 1, got 0'),
+    ({"n": 2, "l": 2}, 'config key "l" must exceed config key "n" = 2, got 2'),
+    ({"env": 0}, 'config key "env" must be >= 1, got 0'),
+])
+def test_optimize_problem_rule_names_the_config_key(tmp_path, capsys, monkeypatch,
+                                                    explicit, extra, message):
+    # the one problem rule, cloning._problem_dims, refuses with the config's
+    # key names on both ancilla paths, before any search starts
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "minimize_relative_error", no_search)
+    if explicit:
+        cfg = _ancilla_config(tmp_path, 4, **extra)
+    else:
+        _, r1, r2 = _states_file(tmp_path)
+        cfg = tmp_path / "opt.json"
+        cfg.write_text(json.dumps({"rho1": r1.to_dict(), "rho2": r2.to_dict(), **extra}))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_optimize_refuses_an_output_count_over_the_cap_at_once(tmp_path, capsys):
     # 3^(10^7) is never formed: 10^7 outputs exceed log2(4096) at any d >= 2
     r1, r2 = (random_density(3, 3, seed=s) for s in (31, 32))

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from clonebound import cloning
+from clonebound import cloning, linalg
 from clonebound.cloning import (
     BoundInput,
     CloningSetup,
@@ -68,6 +68,7 @@ def test_tensor_power_refuses_a_power_over_the_cap_before_any_product(monkeypatc
         raise AssertionError("a Kronecker product was formed")
 
     monkeypatch.setattr(cloning, "_kron_power", no_product)
+    monkeypatch.setattr(linalg, "_kron", no_product)
     monkeypatch.setattr(np, "kron", no_product)
     qubit = _pure(0.3)  # 2^12 = 4096 is the cap, 2^13 is over it
     qutrit = DensityMatrix(np.eye(3, dtype=complex) / 3.0)
@@ -479,6 +480,31 @@ def test_each_validated_state_is_decomposed_once_and_no_other_state_is(monkeypat
         assert len(seen) == 2 and seen[0] is rho1.matrix and seen[1] is rho2.matrix
         for state in (rho1, rho2, setup.upsilon1, blank, square, out.out1, blank_out.out2):
             assert not state.matrix.flags.writeable
+
+
+def test_each_state_forms_its_root_once(monkeypatch):
+    roots = []
+    eig_sqrt = linalg._eig_sqrt
+    monkeypatch.setattr(linalg, "_eig_sqrt",
+                        lambda w, u: roots.append(w) or eig_sqrt(w, u))
+    for d in (2, 3, 4):
+        roots.clear()
+        rng = np.random.default_rng([89, d])
+        rho1 = DensityMatrix(oracles.random_density(rng, d, d - 1))
+        rho2 = DensityMatrix(oracles.random_density(rng, d, d))
+        phi = 0.6 * math.sqrt(fidelity(rho1, rho2))
+        y1, y2 = purifications_with_overlap(rho1, rho2, phi)
+        assert abs(abs(np.vdot(y1.amp, y2.amp)) - phi) <= 1e-9
+        setup = perfect_cloning_setup(rho1, rho2, phi)
+        assert apply_cloning(setup).relative_error <= 1e-9
+        # the walk's pair, reused by the purifications and by the setup's ancillas
+        assert len(roots) == 2
+        for state in (rho1, rho2):
+            root = state._sqrt()
+            assert root is state._sqrt()
+            with pytest.raises(ValueError):
+                root[0, 0] = 0.0
+        assert len(roots) == 2
 
 
 def test_a_near_copy_reads_its_true_sine():

@@ -111,6 +111,15 @@ def test_sqrt_psd_suppresses_null_space_noise():
 
 
 def test_kron_matches_numpy_and_caps():
+    rng = np.random.default_rng(13)
+    shapes = [(1, 1), (3, 1), (1, 3), (2, 3), (4, 2), (3, 3)]
+    for sa in shapes:
+        for sb in shapes:
+            a = rng.standard_normal(sa) + 1j * rng.standard_normal(sa)
+            b = rng.standard_normal(sb) + 1j * rng.standard_normal(sb)
+            want = np.kron(a, b)
+            for got in (linalg.kron(a, b), linalg._kron(a, b)):
+                assert got.shape == want.shape and np.array_equal(got, want), (sa, sb)
     a = np.arange(4).reshape(2, 2) + 0j
     b = np.eye(3) * 2.0
     assert np.array_equal(linalg.kron(a, b), np.kron(a, b))

@@ -324,6 +324,9 @@ def test_path_profile_monotone_with_dirichlet_form():
         assert prof[-1] == 1.0 and prof[0] < 1e-15
         dirichlet = np.abs(np.sin(np.pi * s) / (d * np.sin(np.pi * s / d)))
         assert np.max(np.abs(prof[:-1] - dirichlet)) < 1e-14
+        # the bisection's scalar form, two sines per point
+        scalar = [states._path_magnitude(x, d) for x in t[:-1].tolist()]
+        assert np.max(np.abs(prof[:-1] - scalar)) < 1e-14
 
 
 def test_purifications_with_overlap():
