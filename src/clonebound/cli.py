@@ -249,6 +249,9 @@ def cmd_optimize(args) -> int:
 
 # a sweep config's keys, each with its default, whose type is the key's type
 _SWEEP_DEFAULTS = {"f_min": 0.0, "f_max": 0.99, "points": 100, "phi": 1.0, "n": 1, "l": 2}
+# the most grid points a sweep takes: 10^6 rows already take seconds and
+# hundreds of MB, so a larger grid is refused before it is allocated
+MAX_POINTS = 10 ** 6
 
 
 def cmd_sweep(args) -> int:
@@ -256,8 +259,8 @@ def cmd_sweep(args) -> int:
     _refuse_unknown_keys(doc, _SWEEP_DEFAULTS)
     v = {key: _typed(_pick(getattr(args, key), doc, key, default), key, type(default))
          for key, default in _SWEEP_DEFAULTS.items()}
-    if v["points"] < 1:
-        raise OutOfRange(f"points={v['points']} must be >= 1")
+    if not 1 <= v["points"] <= MAX_POINTS:
+        raise OutOfRange(f"points={v['points']} outside [1, {MAX_POINTS}]")
     grid = np.linspace(v["f_min"], v["f_max"], v["points"])
     rows = sweep_bound(grid, v["phi"], v["n"], v["l"])
     text = sweep_to_json(rows) if args.format == "json" else sweep_to_csv(rows)

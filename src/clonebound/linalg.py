@@ -85,11 +85,16 @@ def as_matrix(m, *, square: bool = True) -> np.ndarray:
     if a.shape[0] == 0 or a.shape[1] == 0:
         raise DimMismatch("matrix must be nonempty")
     _check_cap(max(a.shape), "dimension")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise NonFinite("matrix contains NaN or Inf entries")
+    _require_finite(a, "matrix")
     if square and a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """Raise NonFinite if a complex array has a NaN or Inf part."""
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise NonFinite(f"{what} contains NaN or Inf entries")
 
 
 def _fixed_matrix(m) -> np.ndarray:
@@ -147,17 +152,17 @@ def sqrt_psd(m) -> np.ndarray:
     space, and sqrt would amplify that to ~1e-8 in the result. The root is
     symmetrized, so it is exactly Hermitian.
     """
-    a = as_matrix(m)
-    require_hermitian(a)
-    return _sqrt_psd(a)
-
-
-def _sqrt_psd(a: np.ndarray) -> np.ndarray:
-    """sqrt_psd of a finite Hermitian matrix, unvalidated."""
-    w, u = np.linalg.eigh(a)
-    if w[0] < -TOL_PSD:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{TOL_PSD:.1e}")
+    w, u = hermitian_eig(m)
+    _require_psd(w)
     return _eig_sqrt(w, u)
+
+
+def _require_psd(w: np.ndarray) -> None:
+    """Raise NotPSD if the lowest of a (..., d) stack of ascending
+    eigenvalues is below -TOL_PSD."""
+    low = w[..., 0].min()
+    if low < -TOL_PSD:
+        raise NotPSD(f"eigenvalue {low:.3e} below -{TOL_PSD:.1e}")
 
 
 def _eig_sqrt(w: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ Tr(sqrt(rho1) sqrt(rho2) V) with V unitary, and every V arises this way. The
 maximum over V equals sqrt(F); a zero is always reachable for d >= 2; and a
 continuous path between those two unitaries sweeps every value in between.
 Along the path V0 (V0^dagger Vmax)^t used here the overlap has a closed form,
-sqrt(F) times a scalar function of t and d alone, so a target overlap is
-found by a scalar root search and the unitary is built once, at the root.
+sqrt(F) times a scalar function of t and d alone that rises strictly from 0
+at t = 0 to 1 at t = 1. So [0, 1] brackets the one t of a target overlap,
+a scalar bisection finds it, and the unitary is built once, at the root.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     DimTooSmall,
     EnvTooSmall,
     NotDensity,
-    NotPSD,
     TargetOutOfRange,
 )
 from .serialize import (
@@ -35,8 +35,6 @@ from .serialize import (
     vector_to_entries,
 )
 
-_BRACKET_SAMPLES = 64
-
 
 def _require_density(m: np.ndarray):
     """The density-matrix invariants on each matrix of a (..., d, d) stack:
@@ -44,9 +42,7 @@ def _require_density(m: np.ndarray):
     TOL_UNIT. Returns the eigendecomposition (w, u) the PSD check read."""
     linalg.require_hermitian(m)
     w, u = np.linalg.eigh(m)
-    low = w[..., 0].min()
-    if low < -linalg.TOL_PSD:
-        raise NotPSD(f"density eigenvalue {low:.3e} below -{linalg.TOL_PSD:.1e}")
+    linalg._require_psd(w)
     _require_unit_trace(m)
     return w, u
 
@@ -162,8 +158,7 @@ class PureState:
         if a.size == 0:
             raise DimMismatch("state vector must be nonempty")
         linalg._check_cap(a.size, "state vector length")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise NotDensity("state vector contains NaN or Inf")
+        linalg._require_finite(a, "state vector")
         _require_unit(a)
         self.amp = a
 
@@ -312,14 +307,10 @@ def overlap_under(v, rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(abs(np.trace(rho1._sqrt() @ rho2._sqrt() @ a)))
 
 
-def _roots(rho1: DensityMatrix, rho2: DensityMatrix):
-    return rho1._sqrt(), rho2._sqrt()
-
-
-def _overlap_frame(a: np.ndarray, b: np.ndarray):
-    """M = a b, its singular values s and the unitaries P, Q of its SVD
-    M = P diag(s) Q^dagger."""
-    m = a @ b
+def _overlap_frame(rho1: DensityMatrix, rho2: DensityMatrix):
+    """M = sqrt(rho1) sqrt(rho2), from the roots the states keep, with its
+    singular values s and the unitaries P, Q of its SVD M = P diag(s) Q^dagger."""
+    m = rho1._sqrt() @ rho2._sqrt()
     p, s, qh = np.linalg.svd(m)
     return m, s, p, qh.conj().T
 
@@ -353,7 +344,7 @@ def max_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUnit
     which turns the trace into the sum of singular values.
     """
     _check_same_dim(rho1, rho2)
-    m, _, p, q = _overlap_frame(*_roots(rho1, rho2))
+    m, _, p, q = _overlap_frame(rho1, rho2)
     return _result(m, _max_unitary(p, q), 1.0)
 
 
@@ -366,7 +357,7 @@ def zero_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix) -> OverlapUni
     d = _check_same_dim(rho1, rho2)
     if d < 2:
         raise DimTooSmall("no zero-overlap unitary in dimension 1")
-    m, _, p, q = _overlap_frame(*_roots(rho1, rho2))
+    m, _, p, q = _overlap_frame(rho1, rho2)
     return _result(m, _zero_unitary(p, q), 0.0)
 
 
@@ -387,12 +378,6 @@ def _walk_unitary(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
     return ((_shifted(q) @ f) * lam_t) @ linalg._dagger(p @ f)
 
 
-def _path_profile(t, d: int):
-    """|c_d(t)| = |(1/d) sum_k exp(i (t-1) theta_k)|, vectorised over t."""
-    s = np.multiply.outer(np.subtract(t, 1.0), _root_phases(d))
-    return np.abs(np.exp(1j * s).sum(axis=-1)) / d
-
-
 def _path_magnitude(t: float, d: int) -> float:
     """|c_d(t)| at one t in [0, 1) in closed form, |sin(pi s) / (d sin(pi s / d))|
     with s = 1 - t (see target_overlap_unitary)."""
@@ -405,9 +390,8 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     """A unitary whose overlap equals ``phi`` within TOL_ROOT.
 
     Walks the path V(t) = V0 * (V0^dagger Vmax)^t from the zero-overlap
-    unitary (t=0) to the maximal one (t=1). A sign bracket of g(t) - phi is
-    located on a 64-point uniform grid first and then bisected; V(t) is
-    built once, at the root.
+    unitary (t=0) to the maximal one (t=1). The overlap g(t) along it is
+    bisected on [0, 1] and V(t) is built once, at the root.
 
     V(t) is built in the eigenbasis of the step, with no Schur form. With
     sqrt(rho1) sqrt(rho2) = P Sigma Q^dagger, V0 = Q C P^dagger (C the
@@ -418,19 +402,20 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     (-pi, pi] with -1 at +pi, so at even d the unitary does not depend on
     how an eigensolver rounds.
 
-    The overlap along the path is known in closed form, so neither the grid
-    nor the bisection builds a matrix; each bisection step takes the
-    magnitude below from two sines. Tr(sqrt(rho1) sqrt(rho2) V(t)) =
-    Tr(Sigma C (C^dagger)^t). The matrix C (C^dagger)^t is circulant, so
-    its diagonal is constant and g(t) = sqrt(F) |c_d(t)|, sqrt(F) = Tr Sigma,
-    with c_d(t) = (1/d) sum_k exp(i (t-1) theta_k) and theta_k the phases
-    of the d-th roots of unity on (-pi, pi]. With s = 1 - t and odd d, c_d
-    is real, c_d = sin(pi s) / (d sin(pi s / d)); for even d it is that
-    value times a phase. The log-derivative of that value in s is
+    The overlap along the path is known in closed form, so the bisection
+    builds no matrix; each step takes the magnitude below from two sines.
+    Tr(sqrt(rho1) sqrt(rho2) V(t)) = Tr(Sigma C (C^dagger)^t). The matrix
+    C (C^dagger)^t is circulant, so its diagonal is constant and
+    g(t) = sqrt(F) |c_d(t)|, sqrt(F) = Tr Sigma, with
+    c_d(t) = (1/d) sum_k exp(i (t-1) theta_k) and theta_k the phases of the
+    d-th roots of unity on (-pi, pi]. With s = 1 - t and odd d, c_d is
+    real, c_d = sin(pi s) / (d sin(pi s / d)); for even d it is that value
+    times a phase. The log-derivative of that value in s is
     (h(pi s) - h(pi s / d)) / s with h(x) = x cot(x), which decreases on
     (0, pi), so |c_d| falls strictly in s on (0, 1) for every d and g rises
-    from 0 to sqrt(F). The grid bracket is kept as the runtime guard of
-    that for every d up to linalg.MAX_DIM.
+    strictly from g(0) = 0 to g(1) = sqrt(F). A target strictly between
+    those ends is therefore met at exactly one t, and [0, 1] brackets it:
+    the bisection keeps g(lo) < target <= g(hi) from lo = 0, hi = 1.
 
     The roots come from the states, which keep them (see DensityMatrix), so
     purifications_with_overlap reuses the pair formed here.
@@ -439,7 +424,7 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     if d < 2:
         raise DimTooSmall("dimension 1 admits only overlap 1")
     target = float(phi)
-    m, s, p, q = _overlap_frame(*_roots(rho1, rho2))
+    m, s, p, q = _overlap_frame(rho1, rho2)
     sum_s = float(np.sum(s))
     sqrt_f = min(sum_s, 1.0)
     if not -PHI_BELOW <= target <= sqrt_f + PHI_ABOVE:
@@ -451,25 +436,17 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     if target >= sqrt_f - TOL_ROOT:
         return _result(m, _max_unitary(p, q), 1.0)
 
-    ts = np.linspace(0.0, 1.0, _BRACKET_SAMPLES)
-    gs = sum_s * _path_profile(ts, d)
-    hits = np.flatnonzero((gs[:-1] - target) * (gs[1:] - target) <= 0.0)
-    if hits.size == 0:  # cannot happen for continuous g, kept as a hard stop
-        raise TargetOutOfRange(f"no bracket found for phi={target}")
-    i = hits[0]
-    lo, g_lo, hi = float(ts[i]), float(gs[i]), float(ts[i + 1])
-
-    mid = lo
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         g_mid = sum_s * _path_magnitude(mid, d)
         if abs(g_mid - target) <= TOL_ROOT:
             break
-        if (g_lo - target) * (g_mid - target) <= 0.0:
-            hi = mid
+        if g_mid < target:
+            lo = mid
         else:
-            lo, g_lo = mid, g_mid
-    return _result(m, _walk_unitary(p, q, mid), float(mid))
+            hi = mid
+    return _result(m, _walk_unitary(p, q, mid), mid)
 
 
 def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
@@ -481,7 +458,7 @@ def purifications_with_overlap(rho1: DensityMatrix, rho2: DensityMatrix,
     target_overlap_unitary formed, kept on the states.
     """
     v = target_overlap_unitary(rho1, rho2, phi).v
-    a, b = _roots(rho1, rho2)
+    a, b = rho1._sqrt(), rho2._sqrt()
     # amp[x*d + i] = A[x, i] purifies A A^dagger with overlap Tr(A^dagger B)
     y1 = a.reshape(-1)
     y2 = (b @ v).reshape(-1)

@@ -5,7 +5,8 @@ goes through scipy's sqrtm instead of singular values, the partial trace is
 an explicit index loop, matrix exponentials come from scipy, and the
 purification-overlap maximum is found variationally with a generic
 optimizer rather than in closed form, and the overlap path is walked with a
-Schur-form matrix power at every point instead of its scalar closed form.
+Schur-form matrix power at every point instead of its scalar closed form,
+whose magnitude is checked against the d-term sum it stands for.
 """
 
 import math
@@ -183,6 +184,15 @@ def schur_power(u: np.ndarray, t: float) -> np.ndarray:
     theta = np.angle(np.diagonal(tri))
     theta = np.where(theta <= -np.pi, theta + 2.0 * np.pi, theta)
     return (w * np.exp(1j * float(t) * theta)) @ w.conj().T
+
+
+def dirichlet_profile(t, d: int) -> np.ndarray:
+    """|c_d(t)| = |(1/d) sum_k exp(i (t-1) theta_k)| as the d-term sum, over
+    an array of t, with theta_k the phases of the d-th roots of unity on
+    (-pi, pi]: the overlap path's magnitude with no closed form taken."""
+    theta = 2.0 * np.pi * (np.arange(d) - (d - 1) // 2) / d
+    s = np.multiply.outer(np.subtract(t, 1.0), theta)
+    return np.abs(np.exp(1j * s).sum(axis=-1)) / d
 
 
 def _overlap_path(a: np.ndarray, b: np.ndarray):

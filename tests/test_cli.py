@@ -611,6 +611,28 @@ def test_sweep_bad_points_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_sweep_refuses_points_over_the_cap_before_the_grid(tmp_path, capsys, monkeypatch):
+    # 10^14 points would ask numpy for an 800 TB grid; the cap refuses the
+    # flag and the config key alike, naming the key, before linspace runs
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"points": cli.MAX_POINTS + 1}))
+    for argv in (["sweep", "--points", "100000000000000"],
+                 ["sweep", "--points", str(cli.MAX_POINTS + 1)],
+                 ["sweep", "--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: points=") and captured.err.count("\n") == 1
+        assert str(cli.MAX_POINTS) in captured.err
+    # the cap itself is a valid grid: it reaches linspace
+    with pytest.raises(AssertionError, match="allocated"):
+        main(["sweep", "--points", str(cli.MAX_POINTS)])
+
+
 def test_console_script_installed():
     # the child imports the same clonebound as this process
     src = str(Path(clonebound.__file__).resolve().parents[1])

@@ -9,6 +9,7 @@ from clonebound.errors import (
     DimMismatch,
     DimTooSmall,
     EnvTooSmall,
+    NonFinite,
     NotDensity,
     NotHermitian,
     NotPSD,
@@ -84,8 +85,9 @@ def test_a_density_matrix_is_fixed_and_apart_from_the_callers_array():
 def test_pure_state_validation_and_round_trip():
     with pytest.raises(NotDensity):
         PureState([1.0, 1.0])
-    with pytest.raises(NotDensity):
-        PureState([1.0, np.nan])
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        with pytest.raises(NonFinite):
+            PureState([1.0, bad])
     x = PureState(np.array([1.0, 1j]) / np.sqrt(2))
     again = PureState.from_dict(x.to_dict())
     assert np.array_equal(x.amp, again.amp)
@@ -275,11 +277,12 @@ def _rooted_pair(rng, d, r1, r2):
 
 
 def test_target_overlap_walk_matches_the_schur_walk():
-    # the DFT walk takes the same bracket and bisection steps as the walk that
-    # builds a Schur power at every point, so the path parameter is the same
-    # bits. V agrees with the Schur walk at d = 2 and odd d. At even d >= 4
-    # the Schur form may put the step's eigenvalue -1 at -pi, so there the
-    # check is on the branch: V0^dagger V(t) has eigenphases t theta_k, with
+    # the walk bisects on [0, 1], the bracket g(0) = 0 < phi < sqrt(F) = g(1)
+    # gives it, and takes the same steps as the walk that builds a Schur power
+    # at every point on that bracket, so the path parameter is the same bits.
+    # V agrees with the Schur walk at d = 2 and odd d. At even d >= 4 the
+    # Schur form may put the step's eigenvalue -1 at -pi, so there the check
+    # is on the branch: V0^dagger V(t) has eigenphases t theta_k, with
     # theta_k = 2 pi k / d, k = 1 - d/2 .. d/2, so -1 sits at +pi
     rng = np.random.default_rng(67)
     cases = 0
@@ -291,7 +294,7 @@ def test_target_overlap_walk_matches_the_schur_walk():
                 for phi in (rng.uniform(0.0, cap), rng.uniform(0.0, cap),
                             rng.uniform(0.0, 1e-9), cap + rng.uniform(-1e-9, 1e-9)):
                     res = target_overlap_unitary(rho1, rho2, phi)
-                    v, g, t = oracles.schur_walk_target_overlap(a, b, phi)
+                    v, g, t = oracles.schur_walk_target_overlap(a, b, phi, samples=2)
                     assert res.path_parameter == t
                     assert abs(res.achieved_overlap - g) <= 1e-13
                     assert np.abs(res.v.conj().T @ res.v - np.eye(d)).max() <= 1e-13
@@ -304,29 +307,43 @@ def test_target_overlap_walk_matches_the_schur_walk():
     assert cases >= 300
 
 
+@pytest.mark.parametrize("d", [64, 256])
+def test_target_overlap_walk_meets_phi_at_large_dimension(d):
+    # the bracket is [0, 1] at every d: no grid guards the search, and the
+    # walk still lands within TOL_ROOT of phi where |c_d| is flattest in t
+    rng = np.random.default_rng(d)
+    rho1 = random_density(d, d, seed=d)
+    rho2 = random_density(d, d // 2, seed=d + 1)
+    cap = math.sqrt(fidelity(rho1, rho2))
+    for phi in (1e-3 * cap, 0.5 * cap, rng.uniform(0.0, cap), cap * (1.0 - 1e-6)):
+        res = target_overlap_unitary(rho1, rho2, phi)
+        assert 0.0 < res.path_parameter < 1.0
+        assert abs(res.achieved_overlap - phi) <= linalg.TOL_ROOT
+        assert abs(overlap_under(res.v, rho1, rho2) - phi) <= linalg.TOL_ROOT
+
+
 def test_path_overlap_closed_form_matches_schur_power():
     rng = np.random.default_rng(71)
     for d in range(2, 7):
         _, _, a, b, _ = _rooted_pair(rng, d, d, int(rng.integers(1, d + 1)))
         sum_s = float(np.sum(np.linalg.svd(a @ b, compute_uv=False)))
         ts = np.linspace(0.0, 1.0, 17)
-        closed = sum_s * states._path_profile(ts, d)
-        for t, g in zip(ts, closed):
-            assert abs(g - oracles.schur_path_overlap(a, b, t)) <= 1e-14
+        for t, ref in zip(ts, sum_s * oracles.dirichlet_profile(ts, d)):
+            g = oracles.schur_path_overlap(a, b, t)
+            assert abs(ref - g) <= 1e-14
+            if t < 1.0:  # the two-sine form is 0/0 at t = 1, which the walk never takes
+                assert abs(sum_s * states._path_magnitude(float(t), d) - g) <= 1e-14
 
 
 def test_path_profile_monotone_with_dirichlet_form():
     t = np.linspace(0.0, 1.0, 20001)
-    s = 1.0 - t[:-1]
     for d in range(2, 65):
-        prof = states._path_profile(t, d)
-        assert np.all(np.diff(prof) >= 0.0)  # non-increasing in s = 1 - t
-        assert prof[-1] == 1.0 and prof[0] < 1e-15
-        dirichlet = np.abs(np.sin(np.pi * s) / (d * np.sin(np.pi * s / d)))
-        assert np.max(np.abs(prof[:-1] - dirichlet)) < 1e-14
-        # the bisection's scalar form, two sines per point
-        scalar = [states._path_magnitude(x, d) for x in t[:-1].tolist()]
-        assert np.max(np.abs(prof[:-1] - scalar)) < 1e-14
+        ref = oracles.dirichlet_profile(t, d)
+        assert ref[-1] == 1.0 and ref[0] < 1e-15
+        # the walk's two-sine form on [0, 1), non-decreasing in t
+        mag = np.array([states._path_magnitude(x, d) for x in t[:-1].tolist()])
+        assert np.all(np.diff(mag) >= 0.0) and mag[0] < 1e-15
+        assert np.max(np.abs(mag - ref[:-1])) < 1e-14
 
 
 def test_purifications_with_overlap():
