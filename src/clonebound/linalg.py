@@ -92,8 +92,9 @@ def as_matrix(m, *, square: bool = True) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    """Raise NonFinite if a complex array has a NaN or Inf part."""
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    """Raise NonFinite if a complex array has a NaN or Inf part: a complex
+    entry is finite only when both of its parts are."""
+    if not np.isfinite(a).all():
         raise NonFinite(f"{what} contains NaN or Inf entries")
 
 

@@ -148,8 +148,11 @@ def probabilities(measurement: POVM, rho: DensityMatrix) -> list[float]:
 
 def _probabilities(elems: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """probabilities() over a (..., m, d, d) element stack and a (..., d, d)
-    state stack, with the same checks; returns the (..., m) probabilities."""
-    p = np.trace(elems @ rho[..., None, :, :], axis1=-2, axis2=-1)
+    state stack, with the same checks; returns the (..., m) probabilities.
+
+    The Born rule is one contraction, Tr(E_a rho) = sum_ij E_a[i, j]
+    rho[j, i], so no product E_a rho is formed."""
+    p = np.einsum("...aij,...ji->...a", elems, rho)
     bad = np.abs(p.imag) > TOL_PROB
     if np.any(bad):
         k = int(np.argmax(bad))

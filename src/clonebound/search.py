@@ -45,6 +45,7 @@ from .states import (
     _angle_pure_stack,
     _blank_ancilla,
     _bures,
+    _densities,
     _density_from_factor,
     _fidelity,
     _ginibre,
@@ -363,16 +364,19 @@ def _unit_vectors(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 
 
 def _density_docs(i: int, **factors) -> dict:
-    """The density of trial i of each factor stack, validated and serialized."""
-    return {name: DensityMatrix(_density_from_factor(k[i])).to_dict()
-            for name, k in factors.items()}
+    """The density of trial i of each factor stack, serialized: the k
+    densities are formed as one (k, d, d) stack and validated together by
+    _densities, each by the checks DensityMatrix runs."""
+    stack = _density_from_factor(np.stack([k[i] for k in factors.values()]))
+    return {name: rho.to_dict() for name, rho in zip(factors, _densities(stack))}
 
 
 def _triple(rng, d, n):
     """Three density factor stacks and u = 1 - sqrt(F) of the pairs
-    (chi, omega), (chi, rho) and (omega, rho)."""
+    (chi, omega), (chi, rho) and (omega, rho), as one (3, n) array from one
+    _bures call on the stacked pairs."""
     chi, omega, rho = (_density_factors(rng, d, n) for _ in range(3))
-    us = _bures(chi, omega), _bures(chi, rho), _bures(omega, rho)
+    us = _bures(np.stack((chi, chi, omega)), np.stack((omega, rho, rho)))
     return us, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
 
 
@@ -400,7 +404,7 @@ def _probability_deviation(rng, d, n):
     elems = _normalized_povm(g @ _dagger(g))
     _require_resolution(elems)
     chi, omega = _density_factors(rng, d, n), _density_factors(rng, d, n)
-    p, q = (_probabilities(elems, _density_from_factor(k)) for k in (chi, omega))
+    p, q = _probabilities(elems, _density_from_factor(np.stack((chi, omega))))
     margins = np.max(np.abs(p - q), axis=-1) - np.sin(_angle(_bures(chi, omega)))
     return margins, lambda i: {"povm": POVM(elems[i, :outcomes[i]]).to_dict(),
                                **_density_docs(i, chi=chi, omega=omega)}
@@ -437,11 +441,15 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     difference bound |F(chi,rho) - F(omega,rho)| <= sin(angle); the
     probability deviation bound over random 2-5 outcome POVMs; and the
     projector gap bound for pure states. Each family draws and checks its
-    trials as (batch, d, d) stacks, CHUNK at a time. Margins are lhs - rhs;
-    any margin not at or below the slack, NaN included, counts as a
-    violation. Only the worst trial (the first maximum, or the first NaN) is
-    validated as objects and serialized into the report, on the first use of
-    its check's worst_case, so a report written as CSV serializes none.
+    trials as (batch, d, d) stacks, CHUNK at a time: a state triple's three
+    fidelities come from one stacked _bures call, and the Born rule is one
+    contraction over both states of a trial. Margins are lhs - rhs; any
+    margin not at or below the slack, NaN included, counts as a violation.
+    Only the worst trial (the first maximum, or the first NaN) is validated
+    as objects and serialized into the report, on the first use of its
+    check's worst_case, so a report written as CSV serializes none. Its
+    densities are validated as one stack, each by the checks DensityMatrix
+    runs.
     """
     d = _integral(d, "d")
     trials = _integral(trials, "trials")

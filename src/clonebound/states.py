@@ -26,6 +26,7 @@ from .errors import (
     DimTooSmall,
     EnvTooSmall,
     NotDensity,
+    OutOfRange,
     TargetOutOfRange,
 )
 from .serialize import (
@@ -139,6 +140,24 @@ class DensityMatrix:
     @classmethod
     def from_dict(cls, doc: dict) -> "DensityMatrix":
         return cls(entries_to_matrix(doc["entries"], doc["dim"]))
+
+
+def _densities(m: np.ndarray) -> list[DensityMatrix]:
+    """Each matrix of a (k, d, d) stack as a DensityMatrix, validated as one
+    stack by the constructor's checks: finite, within the cap, and the
+    density invariants, with one stacked eigh for PSD. The stack is copied,
+    and each state holds its read-only slice and its slice of that eigh."""
+    a = np.array(m, dtype=complex)
+    linalg._check_cap(a.shape[-1], "dimension")
+    linalg._require_finite(a, "matrix")
+    w, u = _require_density(a)
+    a.flags.writeable = False
+    states = []
+    for i in range(a.shape[0]):
+        rho = DensityMatrix.__new__(DensityMatrix)
+        rho._hold(a[i], (w[i], u[i]), None)
+        states.append(rho)
+    return states
 
 
 def _blank_ancilla(dim: int) -> DensityMatrix:
@@ -389,6 +408,9 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
                            phi: float) -> OverlapUnitaryResult:
     """A unitary whose overlap equals ``phi`` within TOL_ROOT.
 
+    A non-finite phi is a bad argument (OutOfRange); a finite one outside
+    [0, sqrt(F)] cannot be reached (TargetOutOfRange).
+
     Walks the path V(t) = V0 * (V0^dagger Vmax)^t from the zero-overlap
     unitary (t=0) to the maximal one (t=1). The overlap g(t) along it is
     bisected on [0, 1] and V(t) is built once, at the root.
@@ -424,6 +446,8 @@ def target_overlap_unitary(rho1: DensityMatrix, rho2: DensityMatrix,
     if d < 2:
         raise DimTooSmall("dimension 1 admits only overlap 1")
     target = float(phi)
+    if not math.isfinite(target):
+        raise OutOfRange(f"phi={target} must be finite")
     m, s, p, q = _overlap_frame(rho1, rho2)
     sum_s = float(np.sum(s))
     sqrt_f = min(sum_s, 1.0)

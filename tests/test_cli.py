@@ -125,6 +125,16 @@ def test_purify_unreachable_overlap_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("phi", ["nan", "inf", "-inf", "1e400"])
+def test_purify_non_finite_phi_exits_2(tmp_path, capsys, phi):
+    states, _, _ = _states_file(tmp_path)
+    capsys.readouterr()
+    assert main(["purify", "--states", str(states), f"--phi={phi}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phi=") and "must be finite" in err
+    assert err.count("\n") == 1
+
+
 def test_purify_bad_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

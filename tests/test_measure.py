@@ -112,6 +112,26 @@ def test_projective_measurement_validation():
                                np.diag([0.0, 1.0]) - np.outer(v, v) + np.outer(v, v)])
 
 
+def test_born_contraction_matches_the_trace_of_the_product():
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4, 5, 6):
+        elems = np.stack([np.stack(random_povm(d, 4, seed=int(s)).elements)
+                          for s in rng.integers(10**6, size=8)])
+        rhos = np.stack([oracles.random_density(rng, d, int(rng.integers(1, d + 1)))
+                         for _ in range(16)]).reshape(2, 8, d, d)
+        # (8, 4, d, d) elements against (2, 8, d, d) states, broadcast to (2, 8, 4)
+        got = measure._probabilities(elems, rhos)
+        ref = np.trace(elems @ rhos[..., None, :, :], axis1=-2, axis2=-1).real
+        assert got.shape == (2, 8, 4)
+        assert np.abs(got - ref).max() <= 1e-15
+        povm = POVM(list(elems[0]))
+        rho = DensityMatrix(rhos[1, 0])
+        p = probabilities(povm, rho)
+        assert np.abs(np.array(p) - ref[1, 0]).max() <= 1e-15
+        q = dilated_probabilities(naimark_dilate(povm), rho)
+        assert max(abs(a - b) for a, b in zip(p, q)) <= 1e-10
+
+
 def test_naimark_projective_input_reproduces_distribution():
     meas = POVM([np.diag([1.0, 0.0]).astype(complex),
                  np.diag([0.0, 1.0]).astype(complex)])

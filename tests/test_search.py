@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clonebound.cloning import SOUNDNESS_TOL, CloningSetup, apply_cloning
-from clonebound.errors import BudgetZero, OutOfRange
+from clonebound.errors import BudgetZero, NonFinite, NotHermitian, OutOfRange
 from clonebound.measure import POVM, probabilities, projector_gap
 from clonebound.search import (
     OptimizerConfig,
@@ -465,7 +465,7 @@ def test_verify_counts_a_nan_margin_as_a_violation(monkeypatch, capsys):
     # broken arithmetic read as "0 violations"
     def nan_at_trial_3(a, b):
         u = _bures(a, b)
-        u[3] = np.nan
+        u[..., 3] = np.nan  # trial axis last: a state triple's pairs are stacked first
         return u
 
     monkeypatch.setattr(search, "_bures", nan_at_trial_3)
@@ -573,7 +573,9 @@ def test_every_worst_case_projector_is_exactly_hermitian(d, trials, seed):
 
 def test_verify_takes_no_eigvalsh_and_one_eigh_per_povm_chunk(monkeypatch, tmp_path):
     # sampled states enter the kernel as their Ginibre factors, so the only
-    # decomposition left is _normalized_povm's eigh of each chunk's POVM sums
+    # decomposition left is _normalized_povm's eigh of each chunk's POVM sums;
+    # a JSON report adds one stacked eigh per family of worst-case densities
+    # and the worst POVM's eigvalsh
     calls = {"eigvalsh": 0, "eigh": 0, "_eig_factor": 0}
 
     def counting(name, fn):
@@ -593,6 +595,51 @@ def test_verify_takes_no_eigvalsh_and_one_eigh_per_povm_chunk(monkeypatch, tmp_p
         assert main(["verify", "--dim", str(d), "--trials", "40", "--seed", "21",
                      "--format", "csv", "--out", str(tmp_path / "v.csv")]) == 0
     assert calls == {"eigvalsh": 0, "eigh": 3 * 3, "_eig_factor": 0}  # 3 chunks per d
+    for key in calls:
+        calls[key] = 0
+    for d in (2, 3, 4):
+        assert main(["verify", "--dim", str(d), "--trials", "16", "--seed", "21",
+                     "--out", str(tmp_path / "v.json")]) == 0
+    # per report: 1 POVM chunk plus the triangle, fidelity-difference and
+    # probability-deviation worst cases, each validated as one stack
+    assert calls == {"eigvalsh": 3, "eigh": 3 * 4, "_eig_factor": 0}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_triple_equals_three_bures_calls(d):
+    rng = np.random.default_rng(90 + d)
+    chi, omega, rho = (search._density_factors(rng, d, 64) for _ in range(3))
+    rank_one = search._density_factors(rng, d, 64)
+    rank_one[:, :, 1:] = 0.0
+    rank_one /= linalg._frobenius(rank_one)[:, None, None]
+    chi[:16], rho[16:32] = rank_one[:16], rank_one[16:32]  # rank-1 factors on each side
+    stacked = _bures(np.stack((chi, chi, omega)), np.stack((omega, rho, rho)))
+    for got, (a, b) in zip(stacked, ((chi, omega), (chi, rho), (omega, rho))):
+        assert np.array_equal(got, _bures(a, b))
+    us, _ = search._triple(np.random.default_rng(7), d, 16)
+    again = np.random.default_rng(7)
+    chi, omega, rho = (search._density_factors(again, d, 16) for _ in range(3))
+    assert np.array_equal(us, np.stack((_bures(chi, omega), _bures(chi, rho),
+                                        _bures(omega, rho))))
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda m: m.__setitem__((0, 0, 1), np.nan), NonFinite),
+    (lambda m: m.__setitem__((1, 0, 1), m[1, 0, 1] + 1e-6), NotHermitian),
+], ids=["nan", "not_hermitian"])
+def test_worst_case_density_corruption_raises_its_typed_error(monkeypatch, corrupt, error):
+    report = verify_inequalities(3, 20, seed=4)
+    real = search._density_from_factor
+
+    def corrupted(g):
+        m = real(g)
+        corrupt(m)
+        return m
+
+    monkeypatch.setattr(search, "_density_from_factor", corrupted)
+    for check in report.checks[:3]:  # the families whose worst case holds densities
+        with pytest.raises(error):
+            check.worst_case
 
 
 @pytest.mark.parametrize("margins", [

@@ -13,6 +13,7 @@ from clonebound.errors import (
     NotDensity,
     NotHermitian,
     NotPSD,
+    OutOfRange,
     TargetOutOfRange,
 )
 from clonebound.states import (
@@ -266,6 +267,46 @@ def test_target_overlap_range_errors():
     # just over the cap but within tolerance: clamps instead of failing
     res = target_overlap_unitary(rho1, rho2, cap + 1e-10)
     assert abs(res.achieved_overlap - cap) < 1e-9
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_non_finite_phi_is_a_bad_argument_not_an_unreachable_overlap(phi):
+    from clonebound.cloning import perfect_cloning_setup
+
+    rho1, rho2 = _zero(), _plus()
+    for call in (target_overlap_unitary, purifications_with_overlap, perfect_cloning_setup):
+        with pytest.raises(OutOfRange, match="must be finite"):
+            call(rho1, rho2, phi)
+    with pytest.raises(TargetOutOfRange):  # finite and above sqrt(F): unreachable
+        target_overlap_unitary(rho1, rho2, 1.0)
+
+
+def test_densities_validate_a_stack_as_the_constructor_does():
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 5):
+        stack = np.stack([oracles.random_density(rng, d, r) for r in (1, d, d - 1)])
+        got = states._densities(stack)
+        for m, rho in zip(stack, got):
+            ref = DensityMatrix(m)
+            assert np.array_equal(rho.matrix, ref.matrix)
+            assert rho.to_dict() == ref.to_dict()
+            assert not rho.matrix.flags.writeable
+            w, u = rho._eigen()
+            assert np.array_equal(w, ref._eigen()[0]) and np.array_equal(u, ref._eigen()[1])
+        stack[0, 0, 0] = 7.0  # the states hold their own copy
+        assert got[0].matrix[0, 0] != 7.0
+    good = np.stack([oracles.random_density(rng, 2, 2) for _ in range(2)])
+    nan_part, skew, negative, heavy = (good.copy() for _ in range(4))
+    nan_part[1, 0, 1] = complex(0.1, math.nan)
+    skew[1, 0, 1] += 0.3
+    negative[1] = np.diag([-0.5, 1.5])
+    heavy[1, 1, 1] += 0.5
+    for bad, error in ((nan_part, NonFinite), (skew, NotHermitian), (negative, NotPSD),
+                       (heavy, NotDensity)):
+        with pytest.raises(error):
+            states._densities(bad)
+        with pytest.raises(error):
+            DensityMatrix(bad[1])
 
 
 def _rooted_pair(rng, d, r1, r2):
