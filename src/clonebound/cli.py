@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -98,6 +99,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("--format", choices=("json", "csv"), default="csv")
     return p
+
+
+# argparse reads a token that starts with "-" and is not a plain negative
+# decimal (-inf, -nan, -1e400) as an option, so "--phi -inf" would never reach
+# phi's own check; joined as "--phi=-inf", the token is the flag's value
+_FLOAT_FLAGS = frozenset({"--f", "--phi", "--f-min", "--f-max"})
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """``argv`` with each float flag joined to a following value such as -inf."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _FLOAT_FLAGS and token.startswith("-") and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _write(text: str, out: str | None) -> None:
@@ -259,6 +285,9 @@ def cmd_sweep(args) -> int:
     _refuse_unknown_keys(doc, _SWEEP_DEFAULTS)
     v = {key: _typed(_pick(getattr(args, key), doc, key, default), key, type(default))
          for key, default in _SWEEP_DEFAULTS.items()}
+    for key in ("f_min", "f_max"):  # a non-finite end would fill the grid with nan
+        if not math.isfinite(v[key]):
+            raise OutOfRange(f"{key}={v[key]} must be finite")
     if not 1 <= v["points"] <= MAX_POINTS:
         raise OutOfRange(f"points={v['points']} outside [1, {MAX_POINTS}]")
     grid = np.linspace(v["f_min"], v["f_max"], v["points"])
@@ -280,7 +309,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse already wrote the usage diagnostic
         code = exc.code
         return 0 if code in (0, None) else 2

@@ -14,36 +14,41 @@ from .errors import DimMismatch
 from .linalg import _integral
 
 
+def _pairs(a) -> np.ndarray:
+    """The entries of ``a``, row-major, as a (count, 2) float64 view of
+    [re, im] pairs, every bit kept."""
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.float64).reshape(-1, 2)
+
+
 def _to_pairs(a) -> list[list[float]]:
-    flat = np.asarray(a, dtype=complex).reshape(-1)
-    return np.stack([flat.real, flat.imag], -1).tolist()
+    return _pairs(a).tolist()
 
 
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# one all-+0.0 entry as json.dumps writes it, with the separator before it
+_ZERO = ", [0.0, 0.0]"
 
 
 def _pairs_json(a) -> str:
-    """``json.dumps(_to_pairs(a))``, written without building the pairs.
+    """``json.dumps(_to_pairs(a))``, in time proportional to the written entries.
 
-    Each +0.0 is the literal ``0.0``; every other double, -0.0 included,
-    gets one ``float.__repr__``, and a non-finite one json's spelling.
+    An entry with a set bit in either part (-0.0 included) is written with
+    one ``float.__repr__`` per part, and a non-finite part in json's spelling;
+    each run of k all-+0.0 entries between them is the one repetition
+    ``_ZERO * k``.
     """
-    flat = np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.float64)
-    if not flat.size:
-        return "[]"
-    # tokens: "[[", re, ", ", im, "], [", re, ", ", im, ..., "]]"
-    tokens = np.empty(2 * flat.size + 1, dtype=object)
-    tokens[1::2] = "0.0"
-    tokens[2::4] = ", "
-    tokens[4::4] = "], ["
-    tokens[0], tokens[-1] = "[[", "]]"
-    nonzero = np.flatnonzero(flat.view(np.uint64))  # -0.0 has its sign bit set
-    values = flat[nonzero]
-    text = list(map(float.__repr__, values.tolist()))
+    pairs = _pairs(a)
+    bits = pairs.view(np.uint64)
+    written = np.flatnonzero((bits[:, 0] | bits[:, 1]) != 0)
+    values = pairs[written]
+    text = list(map(float.__repr__, values.ravel().tolist()))
     if not np.isfinite(values).all():
         text = [_NON_FINITE.get(t, t) for t in text]
-    tokens[2 * nonzero + 1] = text
-    return "".join(tokens.tolist())
+    ends = [-1, *written.tolist()]  # the entry before the first is at -1
+    pieces = [f"{_ZERO * (i - end - 1)}, [{re}, {im}]"
+              for i, end, re, im in zip(ends[1:], ends, text[0::2], text[1::2])]
+    pieces.append(_ZERO * (len(pairs) - 1 - ends[-1]))
+    return f"[{''.join(pieces)[2:]}]"  # the first entry takes no separator
 
 
 def _from_pairs(entries, shape: tuple[int, ...]) -> np.ndarray:

@@ -129,10 +129,30 @@ def test_purify_unreachable_overlap_exits_1(tmp_path, capsys):
 def test_purify_non_finite_phi_exits_2(tmp_path, capsys, phi):
     states, _, _ = _states_file(tmp_path)
     capsys.readouterr()
-    assert main(["purify", "--states", str(states), f"--phi={phi}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: phi=") and "must be finite" in err
-    assert err.count("\n") == 1
+    for spelled in ([f"--phi={phi}"], ["--phi", phi]):
+        assert main(["purify", "--states", str(states), *spelled]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: phi=") and "must be finite" in err
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e400"])
+@pytest.mark.parametrize("argv, name", [
+    (["bound", "--f", "0.5", "--phi"], "phi"),
+    (["bound", "--phi", "0.5", "--f"], "f"),
+    (["sweep", "--phi"], "phi"),
+    (["sweep", "--f-min"], "f_min"),
+    (["sweep", "--f-max"], "f_max"),
+])
+def test_a_negative_non_finite_float_flag_reaches_its_check_in_both_spellings(
+        capsys, argv, name, value):
+    # argparse reads "-inf" as an option, not as the value of the flag before it
+    errs = []
+    for spelled in ([*argv[:-1], f"{argv[-1]}={value}"], [*argv, value]):
+        assert main(spelled) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: {name}=") and errs[0].count("\n") == 1
 
 
 def test_purify_bad_input_exits_2(tmp_path, capsys):

@@ -119,3 +119,43 @@ def test_pairs_json_matches_on_arbitrary_bit_patterns():
         assert _pairs_json(m) == json.dumps(matrix_to_entries(m))
 
     check()
+
+
+def _sparse(n: int, entries: dict) -> np.ndarray:
+    m = np.zeros((n, n), dtype=complex)
+    for (i, j), z in entries.items():
+        m[i, j] = z
+    return m
+
+
+def _near_identity(n: int) -> np.ndarray:
+    m = np.eye(n, dtype=complex)
+    m[0, n - 1], m[n // 2, 3], m[n - 1, n - 2] = 0.5j, complex(-0.0, 1e-17), -1.0 / 3.0
+    m[7, 7] = complex(np.cos(0.3), np.sin(0.3))
+    return m
+
+
+ZERO_RUN_CASES = {
+    # runs before the first written entry, between two and after the last
+    "runs_at_start_middle_and_end": _sparse(6, {(2, 3): 1.5 - 2j, (4, 0): -0.25j}),
+    "all_zero": np.zeros((5, 5), dtype=complex),
+    "only_the_last_entry": _sparse(4, {(3, 3): 1e-300 + 0j}),
+    "only_the_first_entry": _sparse(4, {(0, 0): 0.5}),
+    "minus_zero_in_one_part": _sparse(4, {(0, 2): complex(0.0, -0.0),
+                                          (3, 1): complex(-0.0, 0.0)}),
+    "non_finite_next_to_runs": _sparse(5, {(0, 3): complex(np.nan, 0.0),
+                                           (2, 2): complex(0.0, -np.inf),
+                                           (4, 4): complex(np.inf, np.nan)}),
+    "near_identity_512": _near_identity(512),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_RUN_CASES)
+def test_pairs_json_writes_zero_runs_as_json_dumps_does(name):
+    m = ZERO_RUN_CASES[name]
+    got, want = _pairs_json(m), json.dumps(matrix_to_entries(m))
+    if got != want:  # named by its first difference: pytest's diff of MB strings takes minutes
+        at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                  min(len(got), len(want)))
+        lo = max(at - 30, 0)
+        pytest.fail(f"differs at {at}: {got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
