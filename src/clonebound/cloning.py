@@ -19,8 +19,8 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .linalg import (ANGLE_SLACK, CHAIN_SLACK, DEGENERATE_TOL, SOUNDNESS_TOL, TOL_DENOM,
-                     _dagger, _integral)
+from .linalg import (ANGLE_SLACK, CHAIN_SLACK, DEGENERATE_TOL, FLOOR_SLACK, GRAM_TOL,
+                     SINE_ROUND, SOUNDNESS_TOL, TOL_DENOM, _dagger, _integral)
 from .errors import (
     DegeneratePair,
     DimMismatch,
@@ -308,8 +308,11 @@ class _Channel:
     denominator, all from states._bures on the small factors; and
     ``support``, the rows of the joint input space where K_1 or K_2 has a
     nonzero entry. No n x n matrix is formed. ``evaluate`` is the one
-    unvalidated evaluation path: the search and proof_chain_check call it
-    directly, and apply_cloning wraps its outputs as validated states.
+    unvalidated evaluation path, on the output factors ``_factors`` forms
+    under V: the search and proof_chain_check call it directly, and
+    apply_cloning wraps its outputs as validated states. ``floor`` bounds
+    its value from below at a fraction of its cost, for the search to
+    reject a move with.
     """
 
     def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix,
@@ -326,6 +329,9 @@ class _Channel:
         # the joint-input rows where K_1 or K_2 is nonzero: a row of V that is
         # zero on them leaves its row of V K zero, whatever else it holds
         self.support = np.flatnonzero(self.inputs.any(axis=(0, 2)))
+        # the floor's V-free parts: B_i^dagger and ||B_i||_F^2
+        self._ideal_dagger = np.ascontiguousarray(_dagger(self.ideal_factors))
+        self._ideal_norms = [float(np.vdot(b, b).real) for b in self.ideal_factors]
 
     def _factors(self, v: np.ndarray) -> np.ndarray:
         """Output factors A_i = (V K_i).reshape(o, e * k) of both inputs, as
@@ -333,13 +339,13 @@ class _Channel:
         Tr_env(V (rho_i^(x)N (x) upsilon_i) V^dagger)."""
         return (v @ self.inputs).reshape(2, self.ideal_factors.shape[1], -1)
 
-    def evaluate(self, v: np.ndarray):
-        """(output factors, u_i = 1 - sqrt(F_i), absolute and relative error).
+    def evaluate(self, factors: np.ndarray):
+        """(u_i = 1 - sqrt(F_i), absolute and relative error) of the output
+        factors ``_factors`` forms under V.
 
         Raises SoundnessViolation if the relative error lands below the bound
         minus SOUNDNESS_TOL, which no correct evaluation can do.
         """
-        factors = self._factors(v)
         us = _bures(factors, self.ideal_factors)
         abs_err = float(_sine(us).sum())
         rel_err = abs_err / self.denominator
@@ -347,10 +353,41 @@ class _Channel:
             raise SoundnessViolation(
                 f"relative error {rel_err} below bound {self.bound} - {SOUNDNESS_TOL}"
             )
-        return factors, us, abs_err, rel_err
+        return us, abs_err, rel_err
+
+    def floor(self, factors: np.ndarray) -> float:
+        """A float at or below the relative error ``evaluate(factors)``
+        returns, unvalidated, from one stacked eigvalsh and no SVD.
+
+        With M_i = B_i^dagger A_i, u_i = 1/2 (||A_i||^2 + ||B_i||^2) - ||M_i||_1,
+        and ||M_i||_1 sums the roots of the eigenvalues of M_i's smaller Gram.
+        Each computed eigenvalue lam is within eta = GRAM_TOL (o + ka + kb)
+        ||A_i||^2 ||B_i||^2 of the Gram's (Weyl), so sqrt(max(lam, 0) + eta)
+        is at least its singular value. FLOOR_SLACK (o + ka + kb) below that u
+        covers the exact path's rounding of u, and 1 - SINE_ROUND the rounding
+        of its sines. An eigensolver failure, on NaN factors say, reads NaN.
+        """
+        o, ka = factors.shape[1:]
+        dims = o + ka + self.ideal_factors.shape[2]
+        m = self._ideal_dagger @ factors
+        gram = m @ _dagger(m) if m.shape[1] <= ka else _dagger(m) @ m
+        try:
+            lams = np.linalg.eigvalsh(gram).tolist()
+        except np.linalg.LinAlgError:
+            return math.nan
+        flat = factors.reshape(2, -1).view(float)
+        total = 0.0
+        for na, nb, lam in zip(np.einsum("ij,ij->i", flat, flat).tolist(),
+                               self._ideal_norms, lams):
+            eta = GRAM_TOL * dims * na * nb
+            u = (0.5 * (na + nb) - FLOOR_SLACK * dims
+                 - sum([math.sqrt(max(x, 0.0) + eta) for x in lam]))
+            u = min(max(u, 0.0), 1.0)  # a NaN u stays NaN
+            total += math.sqrt(u * (2.0 - u))
+        return total * (1.0 - SINE_ROUND) / self.denominator
 
     def __call__(self, v: np.ndarray) -> float:
-        return self.evaluate(v)[3]
+        return self.evaluate(self._factors(v))[2]
 
 
 def apply_cloning(setup: CloningSetup) -> CloneOutcome:
@@ -364,7 +401,9 @@ def apply_cloning(setup: CloningSetup) -> CloneOutcome:
     Raises SoundnessViolation if the relative error lands below the lower
     bound minus 1e-8, which no correct evaluation can do.
     """
-    factors, us, abs_err, rel_err = setup._channel().evaluate(setup.v)
+    channel = setup._channel()
+    factors = channel._factors(setup.v)
+    us, abs_err, rel_err = channel.evaluate(factors)
     outs = factors @ _dagger(factors)
     out1, out2 = (DensityMatrix._from_factor(m, a)
                   for m, a in zip((outs + _dagger(outs)) / 2.0, factors))
@@ -433,7 +472,8 @@ def proof_chain_check(setup: CloningSetup) -> ProofChainReport:
     relative error therefore sits above the closed-form bound.
     """
     channel = setup._channel()
-    factors, us, _, rel_err = channel.evaluate(setup.v)
+    factors = channel._factors(setup.v)
+    us, _, rel_err = channel.evaluate(factors)
     delta1, delta2 = _angle(us).tolist()
     # R^dagger from a QR of A^dagger is a factor of the same output at most
     # o columns wide; the e * k wide A would cost an (e * k)^2 SVD

@@ -53,6 +53,23 @@ DEGENERATE_TOL = 1e-12  # root fidelity within this of 1 makes two inputs coinci
 TOL_DENOM = 1e-9  # how far the relative error's denominator may miss sqrt(1 - f^(2L))
 SOUNDNESS_TOL = 1e-8  # how far a relative error may dip below the bound before it raises
 CHAIN_SLACK = 1e-9  # how far an inequality's lhs may exceed its rhs and still hold
+# The search's floor on a candidate's relative error (cloning._Channel.floor)
+# keeps these margins, in units of the double spacing at 1. The first two are
+# per unit of o + ka + kb, for an o x ka output factor A and an o x kb ideal
+# factor B, both of unit Frobenius norm; the floor never exceeds the exact
+# path's float.
+_EPS = float(np.finfo(float).eps)
+# Weyl: forming M = B^dagger A (length o), its smaller Gram (length max(ka, kb))
+# and eigvalsh's backward error (dimension min(ka, kb)) move an eigenvalue by
+# at most (3 o + 1.5 max + 8 min + 9) eps ||A||^2 ||B||^2 in complex arithmetic
+GRAM_TOL = 16 * _EPS
+# the exact path's u = 1/2 ||A - B W||^2 reads below 1 - ||B^dagger A||_1 only
+# by W's departure from a co-isometry and the rounding of A - B W and its sum
+# of squares, each a few eps per unit length; this also covers COPY_TOL
+FLOOR_SLACK = 64 * _EPS
+# fl(sqrt(u (2 - u))) is within eps of its value and a two-term sum within
+# eps more, so the floor's sum scaled by 1 - this stays <= the exact path's
+SINE_ROUND = 16 * _EPS
 
 MAX_DIM = 4096  # the largest dense dimension, checked by _check_cap
 

@@ -7,14 +7,20 @@ coordinate generators, so it changes one row (a phase) or two rows (a real
 or imaginary 2 x 2 rotation) of V; the walk keeps a move only when it
 lowers the relative error. The step schedule is fixed, not configured:
 the angle starts at 0.5 rad, shrinks by 0.9 after a run of failed moves,
-and a restart stops once it falls below 1e-9. No candidate costs an
-eigendecomposition or an n x n product. A move whose rows of V are all
-zero on the input support (rows that carry no input, as most do at the
-identity start with a blank ancilla) leaves V K and so the value exactly
-unchanged: it is scored at the current value and rejected, with no copy
-of V and no channel evaluation. Every evaluation the channel makes is
-compared against the closed-form lower bound; dipping below it raises
-instead of reporting, because the bound is a theorem.
+and a restart stops once it falls below 1e-9. No candidate costs an n x n
+product or an eigendecomposition with eigenvectors. A move whose rows of V
+are all zero on the input support (rows that carry no input, as most do at
+the identity start with a blank ancilla) leaves V K and so the value
+exactly unchanged: it is scored at the current value and rejected, with no
+copy of V and no channel evaluation. Any other move forms its output
+factors V K once and takes the channel's floor on them, a lower bound on
+its relative error from the eigenvalues of one small Gram per input. A
+floor at or above the current value means the move cannot lower it, so it
+is rejected without the exact evaluation (an SVD per input); the rest are
+evaluated exactly. Every exact evaluation is compared against the
+closed-form lower bound; dipping below it raises instead of reporting,
+because the bound is a theorem. A move rejected on its floor needs no
+check: its value is at or above the current one, which was checked.
 """
 
 from __future__ import annotations
@@ -101,7 +107,9 @@ class SearchResult:
 
     ``evaluations`` counts scored points, one per start and one per move;
     a move on rows of V that carry no input is scored at the current value
-    without a channel evaluation.
+    without a channel evaluation, and a move whose floor is at or above the
+    current value is scored by the floor alone. Every value the result
+    reports comes from an exact evaluation.
     """
 
     best_v: np.ndarray
@@ -222,7 +230,13 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
             a, b = _move_rows(k, total, pairs)
             if live[a] or live[b]:
                 cand = _rotate(v, k, sign * step, pairs)
-                r = objective(cand)
+                factors = objective._factors(cand)
+                # a floor at or above cur puts the exact value there too, so
+                # the move is rejected unevaluated; a NaN floor falls through
+                if objective.floor(factors) >= cur:
+                    r = cur
+                else:
+                    r = objective.evaluate(factors)[2]
             else:
                 # both rows stay exactly zero on the support, so V K is unchanged
                 r = cur

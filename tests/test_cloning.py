@@ -585,3 +585,75 @@ def test_every_entry_point_refuses_a_bad_dimension_alike(name):
     if name not in ("ancilla_not_d_to_the_m_times_e", "zero_env_dim"):
         with pytest.raises(error):
             perfect_cloning_setup(rho1, rho2, 0.0, n_in, n_out)
+
+
+def _tiny_eigenvalue_density(rng, d: int) -> DensityMatrix:
+    # one eigenvalue at 1e-8 of the trace: copies of such states leave
+    # B^dagger A with singular values near rounding
+    w = np.full(d, 1e-8)
+    w[0] = 1.0 - (d - 1) * 1e-8
+    u = oracles.haar_unitary(rng, d)
+    return DensityMatrix((u * w) @ u.conj().T)
+
+
+def _floor_problem(kind: str, rng):
+    """(channel, unitary) of one family of cloning problems the search's
+    floor must bound from below."""
+    if kind in ("perfect", "tiny-eigenvalue"):
+        d = int(rng.integers(2, 4))
+        make = (_tiny_eigenvalue_density if kind == "tiny-eigenvalue"
+                else lambda rng, d: DensityMatrix(oracles.random_density(
+                    rng, d, int(rng.integers(1, d + 1)))))
+        rho1, rho2 = make(rng, d), make(rng, d)
+        phi = float(rng.uniform(0.0, math.sqrt(fidelity(rho1, rho2))))
+        setup = perfect_cloning_setup(rho1, rho2, phi)
+        return setup._channel(), np.array(setup.v)
+    if kind == "orthogonal":
+        # X (x) X sends |0>|0> to |1>|1>, orthogonal to the ideal |0>|0>
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        rho1, rho2 = _pure(0.0), _pure(float(rng.uniform(0.05, 1.5)))
+        return cloning._Channel(rho1, rho2, _blank(2), _blank(2), 1, 2), np.kron(x, x)
+    d, n_out, env = {"restricted": (int(rng.integers(2, 5)), 2, 1),
+                     "1to3": (2, 3, 2), "mixed-ancilla": (2, 2, 4), "d4e4": (4, 2, 4)}[kind]
+    rho1, rho2 = (DensityMatrix(oracles.random_density(rng, d, int(rng.integers(1, d + 1))))
+                  for _ in range(2))
+    anc = d ** (n_out - 1) * env
+    if kind == "mixed-ancilla":
+        ups1, ups2 = (DensityMatrix(oracles.random_density(rng, anc, anc)) for _ in range(2))
+    else:
+        ups1 = ups2 = _blank(anc)
+    channel = cloning._Channel(rho1, rho2, ups1, ups2, 1, n_out)
+    return channel, oracles.haar_unitary(rng, d ** n_out * env)
+
+
+_FLOOR_KINDS = ("perfect", "tiny-eigenvalue", "orthogonal", "restricted", "1to3",
+                "mixed-ancilla", "d4e4")
+
+
+def test_the_floor_never_exceeds_the_exact_relative_error():
+    # as floats: a move the search rejects on the floor alone is one the
+    # exact kernel would reject too. Each unitary is also moved by
+    # exp(i s H), so u runs from exact copies (COPY_TOL zeroing) through
+    # near copies to orthogonal outputs (u = 1)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    gaps = []
+
+    @hyp.settings(max_examples=350, deadline=None, derandomize=True, database=None)
+    @hyp.given(st.sampled_from(_FLOOR_KINDS), st.integers(0, 2 ** 32 - 1),
+               st.one_of(st.just(0.0), st.floats(-9.0, -0.5).map(lambda e: 10.0 ** e)))
+    def check(kind, seed, scale):
+        rng = np.random.default_rng(seed)
+        channel, v = _floor_problem(kind, rng)
+        if scale:
+            h = oracles.random_density(rng, v.shape[0], v.shape[0]) - np.eye(v.shape[0]) / v.shape[0]
+            v = v @ oracles.expm_scipy(scale * h / np.linalg.norm(h, 2))
+        factors = channel._factors(v)
+        rel = channel.evaluate(factors)[2]
+        floor = channel.floor(factors)
+        assert floor <= rel, (kind, seed, scale, floor, rel)
+        gaps.append(rel - floor)
+
+    check()
+    # and it is not vacuous: half the points sit within 1e-6 of the exact value
+    assert float(np.median(gaps)) <= 1e-6

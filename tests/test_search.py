@@ -168,8 +168,9 @@ def test_a_move_is_the_exponential_of_its_generator(n, ks):
 
 
 def test_a_candidate_costs_no_eigendecomposition(monkeypatch):
-    # eigh runs only while the states are validated, however long the walk;
-    # the states keep their decomposition, so each search gets fresh ones
+    # eigh runs only while the states are validated, however long the walk
+    # (a candidate's floor takes eigenvalues alone, by eigvalsh); the states
+    # keep their decomposition, so each search gets fresh ones
     calls = []
     eigh = np.linalg.eigh
 
@@ -203,16 +204,16 @@ def _blank(dim: int) -> DensityMatrix:
     return DensityMatrix(np.diag(np.eye(dim)[0]).astype(complex))
 
 
-def _count_evaluations(monkeypatch) -> list:
-    """Record every channel evaluation; the list grows by one per call."""
-    calls = []
-    evaluate = cloning._Channel.evaluate
+def _count_evaluations(monkeypatch) -> dict:
+    """Record every channel floor and exact evaluation; each list grows by
+    one per call."""
+    calls = {"floor": [], "evaluate": []}
+    for name, kept in calls.items():
+        def counting(self, factors, _method=getattr(cloning._Channel, name), _kept=kept):
+            _kept.append(factors.shape)
+            return _method(self, factors)
 
-    def counting(self, v):
-        calls.append(v.shape)
-        return evaluate(self, v)
-
-    monkeypatch.setattr(cloning._Channel, "evaluate", counting)
+        monkeypatch.setattr(cloning._Channel, name, counting)
     return calls
 
 
@@ -246,12 +247,13 @@ _SKIP_PROBLEMS = {
 @pytest.mark.parametrize("name", sorted(_SKIP_PROBLEMS))
 def test_skipping_dead_moves_changes_no_output(monkeypatch, name):
     # with every row declared input support no move is skipped, so the
-    # search must write the same bytes either way
+    # search must write the same bytes either way; each move is then scored
+    # by the channel's floor, and each start by its exact evaluation
     search_of, skips = _SKIP_PROBLEMS[name]
     cfg = OptimizerConfig(restarts=2, iterations=150, seed=4)
     calls = _count_evaluations(monkeypatch)
     skipping = search_of(cfg)
-    skipping_calls = len(calls)
+    skipping_calls = len(calls["floor"])
     init = cloning._Channel.__init__
 
     def every_row_is_support(self, *problem):
@@ -259,11 +261,13 @@ def test_skipping_dead_moves_changes_no_output(monkeypatch, name):
         self.support = np.arange(self.inputs.shape[1])
 
     monkeypatch.setattr(cloning._Channel, "__init__", every_row_is_support)
-    calls.clear()
+    for kept in calls.values():
+        kept.clear()
     full = search_of(cfg)
     assert skipping.to_json() == full.to_json()
-    assert len(calls) == full.evaluations
-    assert (skipping_calls < full.evaluations) == skips
+    assert len(calls["floor"]) == full.evaluations - cfg.restarts
+    assert cfg.restarts <= len(calls["evaluate"]) < full.evaluations
+    assert (skipping_calls < len(calls["floor"])) == skips
 
 
 def test_dead_moves_cost_no_channel_evaluation(monkeypatch):
@@ -271,10 +275,52 @@ def test_dead_moves_cost_no_channel_evaluation(monkeypatch):
     cfg = OptimizerConfig(restarts=1, iterations=60, seed=0)
     res = _blank_search(2, 16)(cfg)  # n = 64, two rows carry input
     assert res.evaluations == 61
-    assert len(calls) <= 0.25 * res.evaluations
-    calls.clear()
+    assert len(calls["floor"]) + len(calls["evaluate"]) <= 0.25 * res.evaluations
+    for kept in calls.values():
+        kept.clear()
     res = _mixed_search(cfg)  # a full-rank ancilla: every row carries input
-    assert len(calls) == res.evaluations == 61
+    assert len(calls["floor"]) + 1 == res.evaluations == 61
+
+
+def _floor_at(monkeypatch, value: float) -> None:
+    monkeypatch.setattr(cloning._Channel, "floor", lambda self, factors: value)
+
+
+_SCREEN_CASES = {
+    **{name: (search_of, OptimizerConfig(restarts=2, iterations=150, seed=4))
+       for name, (search_of, _) in _SKIP_PROBLEMS.items()},
+    "mixed-4-restarts": (_mixed_search, OptimizerConfig(restarts=4, iterations=300, seed=8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCREEN_CASES))
+def test_the_floor_screen_changes_no_output(monkeypatch, name):
+    # a floor of -inf sends every live move to the exact kernel, so a
+    # screen that rejects only what that kernel would reject writes the
+    # same bytes
+    search_of, cfg = _SCREEN_CASES[name]
+    calls = _count_evaluations(monkeypatch)
+    screened = search_of(cfg)
+    exact_calls = len(calls["evaluate"])
+    # the starts take the exact kernel, and the screen rejects some moves
+    assert exact_calls - cfg.restarts < len(calls["floor"])
+    _floor_at(monkeypatch, -math.inf)
+    for kept in calls.values():
+        kept.clear()
+    unscreened = search_of(cfg)
+    assert screened.to_json() == unscreened.to_json()
+    assert len(calls["evaluate"]) > exact_calls
+
+
+def test_a_nan_floor_sends_the_move_to_the_exact_kernel(monkeypatch):
+    cfg = OptimizerConfig(restarts=2, iterations=100, seed=5)
+    screened = _mixed_search(cfg)
+    calls = _count_evaluations(monkeypatch)
+    _floor_at(monkeypatch, math.nan)
+    unscreened = _mixed_search(cfg)
+    # every row carries input, so every move reaches the exact kernel
+    assert len(calls["evaluate"]) == unscreened.evaluations == 202
+    assert screened.to_json() == unscreened.to_json()
 
 
 def test_a_move_on_dead_rows_leaves_the_channel_unchanged():
