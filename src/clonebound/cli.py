@@ -19,7 +19,6 @@ import numpy as np
 
 from .cloning import _copy_counts, _problem_dims, lower_bound
 from .errors import (
-    CloneboundError,
     DegeneratePair,
     IndistinguishablePair,
     OutOfRange,
@@ -318,10 +317,7 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except CloneboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # a CloneboundError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

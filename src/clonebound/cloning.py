@@ -305,14 +305,12 @@ class _Channel:
     and the ideal factors B_i, each pair as one stack, so that one product
     V K and one states._bures call serve both inputs; f, phi, the bound and
     the angle between the ideal outputs, whose sine is the relative error's
-    denominator, all from states._bures on the small factors; and
-    ``support``, the rows of the joint input space where K_1 or K_2 has a
-    nonzero entry. No n x n matrix is formed. ``evaluate`` is the one
-    unvalidated evaluation path, on the output factors ``_factors`` forms
-    under V: the search and proof_chain_check call it directly, and
-    apply_cloning wraps its outputs as validated states. ``floor`` bounds
-    its value from below at a fraction of its cost, for the search to
-    reject a move with.
+    denominator, all from states._bures on the small factors. No n x n
+    matrix is formed. ``evaluate`` is the one unvalidated evaluation path,
+    on the output factors V K that ``_factors`` forms under V: the search
+    and proof_chain_check call it directly, and apply_cloning wraps its
+    outputs as validated states. ``floor`` bounds its value from below at a
+    fraction of its cost, for the search to reject a move with.
     """
 
     def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix,
@@ -326,9 +324,6 @@ class _Channel:
         self.ideal_factors = _side_by_side(ideals)
         self.inputs = _side_by_side([linalg._kron(_kron_power(k, n_in), y)
                                      for k, y in zip(factors, ancillas)])
-        # the joint-input rows where K_1 or K_2 is nonzero: a row of V that is
-        # zero on them leaves its row of V K zero, whatever else it holds
-        self.support = np.flatnonzero(self.inputs.any(axis=(0, 2)))
         # the floor's V-free parts: B_i^dagger and ||B_i||_F^2
         self._ideal_dagger = np.ascontiguousarray(_dagger(self.ideal_factors))
         self._ideal_norms = [float(np.vdot(b, b).real) for b in self.ideal_factors]
@@ -385,9 +380,6 @@ class _Channel:
             u = min(max(u, 0.0), 1.0)  # a NaN u stays NaN
             total += math.sqrt(u * (2.0 - u))
         return total * (1.0 - SINE_ROUND) / self.denominator
-
-    def __call__(self, v: np.ndarray) -> float:
-        return self.evaluate(self._factors(v))[2]
 
 
 def apply_cloning(setup: CloningSetup) -> CloneOutcome:

@@ -115,12 +115,16 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFinite(f"{what} contains NaN or Inf entries")
 
 
+def _unshared(a: np.ndarray, m) -> np.ndarray:
+    """a, read from the caller's m, sharing no memory with m: the caller's
+    array, or a view of it, is copied; a fresh conversion is kept."""
+    return a.copy() if a is m or a.base is not None else a
+
+
 def _fixed_matrix(m) -> np.ndarray:
     """as_matrix of m as a read-only array that shares no memory with the
-    caller: the caller's array, or a view of it, is copied."""
-    a = as_matrix(m)
-    if a is m or a.base is not None:
-        a = a.copy()
+    caller (see _unshared)."""
+    a = _unshared(as_matrix(m), m)
     a.flags.writeable = False
     return a
 

@@ -61,19 +61,26 @@ def _require_projector(p: np.ndarray) -> None:
                            f"projector within {TOL_PROJ:.0e}")
 
 
+def _element_list(elements, error, owner: str, what: str) -> list[np.ndarray]:
+    """Each element by linalg._fixed_matrix, all on one C^d; an empty list
+    or a mismatch raises ``error``, naming the ``owner`` and ``what``."""
+    elems = [linalg._fixed_matrix(e) for e in elements]
+    if not elems:
+        raise error(f"{owner} needs at least one {what}")
+    d = elems[0].shape[0]
+    for i, e in enumerate(elems):
+        if e.shape[0] != d:
+            raise error(f"{what} {i} dim {e.shape[0]} != {d}")
+    return elems
+
+
 class POVM:
-    """A list of PSD elements on C^d summing to the identity."""
+    """A list of PSD elements on C^d summing to the identity, held read-only."""
 
     __slots__ = ("elements",)
 
     def __init__(self, elements):
-        elems = [linalg.as_matrix(e) for e in elements]
-        if not elems:
-            raise InvalidPOVM("POVM needs at least one element")
-        d = elems[0].shape[0]
-        for i, e in enumerate(elems):
-            if e.shape[0] != d:
-                raise InvalidPOVM(f"element {i} dim {e.shape[0]} != {d}")
+        elems = _element_list(elements, InvalidPOVM, "POVM", "element")
         _require_povm(np.stack(elems))
         self.elements = elems
 
@@ -104,19 +111,13 @@ class ProjectiveMeasurement(POVM):
     __slots__ = ()
 
     def __init__(self, projectors):
-        projs = [linalg.as_matrix(p) for p in projectors]
-        if not projs:
-            raise NotProjector("measurement needs at least one projector")
-        d = projs[0].shape[0]
-        for i, p in enumerate(projs):
-            if p.shape[0] != d:
-                raise NotProjector(f"projector {i} dim {p.shape[0]} != {d}")
+        projs = _element_list(projectors, NotProjector, "measurement", "projector")
         _require_projector(np.stack(projs))
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
                 if np.linalg.norm(projs[i] @ projs[j]) > TOL_PROJ:
                     raise NotProjector(f"projectors {i},{j} not orthogonal")
-        if np.linalg.norm(sum(projs) - np.eye(d)) > TOL_PROJ:
+        if np.linalg.norm(sum(projs) - np.eye(len(projs[0]))) > TOL_PROJ:
             raise NotProjector("projectors do not sum to identity")
         self.elements = projs
 

@@ -168,17 +168,19 @@ def _blank_ancilla(dim: int) -> DensityMatrix:
 
 
 class PureState:
-    """A unit-norm state vector."""
+    """A unit-norm state vector; ``amp`` is a read-only copy, by
+    linalg._unshared's rule."""
 
     __slots__ = ("amp",)
 
     def __init__(self, amp):
-        a = np.asarray(amp, dtype=complex).reshape(-1)
+        a = linalg._unshared(np.asarray(amp, dtype=complex), amp).reshape(-1)
         if a.size == 0:
             raise DimMismatch("state vector must be nonempty")
         linalg._check_cap(a.size, "state vector length")
         linalg._require_finite(a, "state vector")
         _require_unit(a)
+        a.flags.writeable = False
         self.amp = a
 
     @property
@@ -235,13 +237,26 @@ def _bures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     u = 1/2 ||A - B W||_F^2 with W the polar factor of B^dagger A, taken with
     the wider factor as A, so ||B^dagger A||_1 = sqrt(F) (Uhlmann). The form
     is a sum of squares, so u keeps its relative precision as F -> 1, where
-    1 - F from F loses half the digits of sqrt(1 - F). u clamps to 1, and
-    u <= COPY_TOL reads 0, the one rule by which two states count as equal.
+    1 - F from F loses half the digits of sqrt(1 - F).
     """
     if a.shape[-1] < b.shape[-1]:
         a, b = b, a
     p, _, qh = np.linalg.svd(linalg._dagger(b) @ a, full_matrices=False)
-    diff = a - b @ (p @ qh)
+    return _chord(a, b, p @ qh)
+
+
+def _bures_pure(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_bures of two (..., d) unit-vector stacks as factors, whose polar
+    factor is the phase of <y|x>: u = 1 - |<x|y>| = 1/2 ||x - e^(i phi) y||^2.
+    An error in phi moves u only to second order."""
+    x, y = x[..., None], y[..., None]
+    return _chord(x, y, np.exp(1j * np.angle(linalg._dagger(y) @ x)))
+
+
+def _chord(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u = 1/2 ||A - B W||_F^2 per pair, clamped to 1, and u <= COPY_TOL
+    read as 0: the one rule by which two states count as equal."""
+    diff = a - b @ w
     u = 0.5 * np.einsum("...ij,...ij->...", diff.conj(), diff).real
     return np.minimum(u, 1.0) * (u > COPY_TOL)
 
@@ -261,16 +276,10 @@ def _fidelity(u):
     return (1.0 - u) ** 2
 
 
-def _angle_pure_stack(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Angle arccos(|<x|y>|) of each pair of two (..., d) unit-vector stacks."""
-    ov = np.abs(np.einsum("...i,...i->...", x.conj(), y))
-    return np.arccos(np.minimum(ov, 1.0))
-
-
 def fidelity(chi: DensityMatrix, omega: DensityMatrix) -> float:
     """Fidelity between two density matrices, in [0, 1].
 
-    Equal inputs (u <= COPY_TOL, see _bures) return exactly 1.0, so the
+    Equal inputs (u <= COPY_TOL, see _chord) return exactly 1.0, so the
     derived angle is exactly zero.
     """
     _check_same_dim(chi, omega)
@@ -284,10 +293,12 @@ def angle(chi: DensityMatrix, omega: DensityMatrix) -> float:
 
 
 def angle_pure(x: PureState, y: PureState) -> float:
-    """Angle arccos(|<x|y>|) between unit vectors."""
+    """Angle arccos(|<x|y>|) between unit vectors, from the chord
+    u = 1/2 ||x - e^(i phi) y||^2 after aligning the phase (see _bures_pure):
+    full precision as x meets y, and 0 exactly where ``angle`` reads 0."""
     if x.dim != y.dim:
         raise DimMismatch(f"dims differ: {x.dim} vs {y.dim}")
-    return float(_angle_pure_stack(x.amp, y.amp))
+    return float(_angle(_bures_pure(x.amp, y.amp)))
 
 
 def purify(rho: DensityMatrix, env_dim: int) -> PureState:

@@ -66,6 +66,20 @@ def pure_clone_sines_mp(psi1: np.ndarray, psi2: np.ndarray, v: np.ndarray,
     return sines
 
 
+def line_angle_mp(x: np.ndarray, y: np.ndarray, digits: int = 50) -> float:
+    """The angle arccos(|<x|y>| / (|x| |y|)) between the lines of two complex
+    vectors, taken exactly as given (not renormalized in floats), at
+    ``digits`` decimal digits."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        xs, ys = ([mpmath.mpc(complex(c)) for c in v] for v in (x, y))
+        ov = abs(mpmath.fsum(mpmath.conj(a) * b for a, b in zip(xs, ys)))
+        norms = mpmath.sqrt(mpmath.fsum(abs(a) ** 2 for a in xs)
+                            * mpmath.fsum(abs(b) ** 2 for b in ys))
+        return float(mpmath.acos(min(ov / norms, mpmath.mpf(1))))
+
+
 def fidelity_sqrtm(a: np.ndarray, b: np.ndarray) -> float:
     """(Tr sqrt(sqrt(a) b sqrt(a)))^2 evaluated literally via scipy.sqrtm."""
     s = sla.sqrtm(a)

@@ -403,6 +403,18 @@ def test_soundness_guard_fires_on_a_faulty_channel(monkeypatch):
                                 cfg=OptimizerConfig(restarts=1, iterations=1))
 
 
+def test_a_wrong_ideal_trips_the_denominator_cross_check(monkeypatch):
+    # the ideal outputs' sine must match sqrt(1 - f^(2L)); an ideal formed
+    # as the wrong tensor power (here the first, for L = 2) is caught
+    rho1, rho2 = _pure(0.0), _pure(0.9)
+    assert relative_error(0.1, 0.1, rho1, rho2) > 0.0
+    monkeypatch.setattr(cloning, "_kron_power", lambda k, n: k)
+    with pytest.raises(SoundnessViolation, match="denominator"):
+        relative_error(0.1, 0.1, rho1, rho2)
+    with pytest.raises(SoundnessViolation, match="denominator"):
+        cloning._Channel(rho1, rho2, _blank(2), _blank(2), 1, 2)
+
+
 def test_a_setup_builds_one_channel_and_evaluates_it_on_every_call(monkeypatch):
     builds, evaluations = [], []
     init, evaluate = cloning._Channel.__init__, cloning._Channel.evaluate

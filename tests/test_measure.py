@@ -199,6 +199,26 @@ def test_projective_measurement_is_a_povm():
         assert probabilities(meas, rho) == probabilities(POVM(projs), rho)
 
 
+def test_a_caller_mutating_its_arrays_changes_no_state_or_measurement():
+    # each class keeps a read-only array of its own, whether the caller
+    # passed an array or a view of one
+    a = np.array([1, 0], dtype=complex)
+    rows = np.array([[1, 0], [5, 5]], dtype=complex)
+    for amp, source in ((a, a), (rows[0], rows)):
+        x = PureState(amp)
+        source[...] = 5
+        assert np.array_equal(x.amp, [1, 0]) and not x.amp.flags.writeable
+    rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
+    for cls in (POVM, ProjectiveMeasurement):
+        e1, e2 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+        stack = np.stack([e1, e2])
+        for meas, sources in ((cls([e1, e2]), (e1, e2)), (cls(list(stack)), (stack,))):
+            for m in sources:
+                m[..., 0, 0] = 7
+            assert probabilities(meas, rho) == [0.5, 0.5]
+            assert not any(e.flags.writeable for e in meas.elements)
+
+
 def test_probability_deviation_bounded_by_sine():
     rng = np.random.default_rng(17)
     for _ in range(100):

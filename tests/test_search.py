@@ -246,21 +246,15 @@ _SKIP_PROBLEMS = {
 
 @pytest.mark.parametrize("name", sorted(_SKIP_PROBLEMS))
 def test_skipping_dead_moves_changes_no_output(monkeypatch, name):
-    # with every row declared input support no move is skipped, so the
-    # search must write the same bytes either way; each move is then scored
-    # by the channel's floor, and each start by its exact evaluation
+    # with every row of V K declared live no move is skipped, so the search
+    # must write the same bytes either way; each move is then scored by the
+    # channel's floor, and each start by its exact evaluation
     search_of, skips = _SKIP_PROBLEMS[name]
     cfg = OptimizerConfig(restarts=2, iterations=150, seed=4)
     calls = _count_evaluations(monkeypatch)
     skipping = search_of(cfg)
     skipping_calls = len(calls["floor"])
-    init = cloning._Channel.__init__
-
-    def every_row_is_support(self, *problem):
-        init(self, *problem)
-        self.support = np.arange(self.inputs.shape[1])
-
-    monkeypatch.setattr(cloning._Channel, "__init__", every_row_is_support)
+    monkeypatch.setattr(search, "_live_rows", lambda factors, n: [True] * n)
     for kept in calls.values():
         kept.clear()
     full = search_of(cfg)
@@ -323,6 +317,37 @@ def test_a_nan_floor_sends_the_move_to_the_exact_kernel(monkeypatch):
     assert screened.to_json() == unscreened.to_json()
 
 
+def test_an_eigensolver_failure_reads_a_nan_floor(monkeypatch):
+    # a floor whose eigvalsh raises reads NaN, which sends every live move
+    # to the exact kernel: the same bytes as a run with no screen at all
+    cfg = OptimizerConfig(restarts=2, iterations=100, seed=5)
+    rho1, rho2 = _random_pair(139)
+    channel = cloning._Channel(rho1, rho2, _blank(2), _blank(2), 1, 2)
+    factors = channel._factors(np.eye(4, dtype=complex))
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    assert math.isnan(channel.floor(factors))
+    failing = _mixed_search(cfg)
+    _floor_at(monkeypatch, -math.inf)
+    assert failing.to_json() == _mixed_search(cfg).to_json()
+
+
+def test_the_walk_stops_once_its_step_falls_below_the_stop_step():
+    # {I/2, pure} on the restricted problem settles long before 4000 moves:
+    # the step decays below 1e-9 and the restart ends, each after a final
+    # run of fail_limit = 8 rejected moves
+    mixed = DensityMatrix(np.eye(2, dtype=complex) / 2)
+    cfg = OptimizerConfig(restarts=2, iterations=4000, seed=0)
+    res = restricted_cloner_search(mixed, _pure(0.0), cfg)
+    for trace in res.restart_traces:
+        assert len(trace) < cfg.iterations + 1
+        assert len(set(trace[-9:])) == 1
+    assert res.evaluations == sum(len(t) for t in res.restart_traces)
+
+
 def test_a_move_on_dead_rows_leaves_the_channel_unchanged():
     rng = np.random.default_rng(149)
     rho1, rho2 = (DensityMatrix(oracles.random_density(rng, 2, 2)) for _ in range(2))
@@ -330,18 +355,20 @@ def test_a_move_on_dead_rows_leaves_the_channel_unchanged():
     n = 16
     v = np.eye(n, dtype=complex)
     channel = cloning._Channel(rho1, rho2, ups, ups, 1, 2)
+    factors = channel._factors(v)
+    cur = channel.evaluate(factors)[2]
+    # at the identity the live rows of V K are the rows the inputs occupy
     joint = np.kron(rho1.matrix, ups.matrix) + np.kron(rho2.matrix, ups.matrix)
-    assert np.array_equal(channel.support, np.flatnonzero(np.diag(joint)))
-    factors, cur = channel._factors(v), channel(v)
+    live = np.flatnonzero(search._live_rows(factors, n))
+    assert np.array_equal(live, np.flatnonzero(np.diag(joint)))
     pairs = np.triu_indices(n, 1)
-    dead = [k for k in range(n * n)
-            if not np.any(_generator(n, k)[:, channel.support])]
+    dead = [k for k in range(n * n) if not np.any(_generator(n, k)[:, live])]
     assert len(dead) == n - 2 + (n - 2) * (n - 3)  # phases and both rotations
     for k in dead:
         for angle in (0.5, -0.05, 2.9):
-            cand = search._rotate(v, k, angle, pairs)
-            assert np.array_equal(channel._factors(cand), factors), (k, angle)
-            assert channel(cand) == cur, (k, angle)
+            cand = channel._factors(search._rotate(v, k, angle, pairs))
+            assert np.array_equal(cand, factors), (k, angle)
+            assert channel.evaluate(cand)[2] == cur, (k, angle)
 
 
 @pytest.mark.parametrize("name", sorted(_SKIP_PROBLEMS))

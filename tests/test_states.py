@@ -183,6 +183,39 @@ def test_angle_pure():
     assert abs(angle_pure(x, y) - math.pi / 4) < 1e-12
 
 
+def _pure_pair(rng, d: int, theta: float):
+    """Unit vectors x and y = e^(i gamma) (cos theta x + sin theta z), z a
+    unit vector orthogonal to x and gamma a random global phase."""
+    x, z = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+    x /= np.linalg.norm(x)
+    z -= np.vdot(x, z) * x
+    z /= np.linalg.norm(z)
+    y = math.cos(theta) * x + math.sin(theta) * z
+    y *= np.exp(1j * rng.uniform(0, 2 * math.pi)) / np.linalg.norm(y)
+    return PureState(x), PureState(y)
+
+
+def test_angle_pure_matches_a_50_digit_oracle():
+    # arccos(|<x|y>|) misses the angle of these float inputs by up to ~3e-8;
+    # the chord form stays within a few eps from 1e-11 to 1.55 rad
+    rng = np.random.default_rng(151)
+    for _ in range(400):
+        d = int(rng.integers(2, 7))
+        x, y = _pure_pair(rng, d, 10.0 ** rng.uniform(-11, math.log10(1.55)))
+        assert abs(angle_pure(x, y) - oracles.line_angle_mp(x.amp, y.amp)) <= 1e-15
+        assert abs(angle_pure(x, y) - angle(x.density(), y.density())) <= 1e-15
+
+
+def test_angle_pure_reads_zero_where_angle_on_the_densities_does():
+    # u = 1 - cos(theta) <= COPY_TOL = 1e-24 for theta <= 1e-12
+    rng = np.random.default_rng(157)
+    for theta in (0.0, 1e-14, 1e-13, 1e-12):
+        for d in (2, 4, 6):
+            x, y = _pure_pair(rng, d, theta)
+            assert angle_pure(x, y) == angle(x.density(), y.density()) == 0.0
+            assert angle_pure(x, x) == 0.0
+
+
 def test_fidelity_difference_bound():
     rng = np.random.default_rng(41)
     for _ in range(100):
