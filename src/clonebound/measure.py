@@ -75,14 +75,19 @@ def _element_list(elements, error, owner: str, what: str) -> list[np.ndarray]:
 
 
 class POVM:
-    """A list of PSD elements on C^d summing to the identity, held read-only."""
+    """PSD elements on C^d summing to the identity, held read-only: a tuple
+    of read-only arrays."""
 
-    __slots__ = ("elements",)
+    __slots__ = ("_elements",)
 
     def __init__(self, elements):
         elems = _element_list(elements, InvalidPOVM, "POVM", "element")
         _require_povm(np.stack(elems))
-        self.elements = elems
+        self._elements = tuple(elems)
+
+    @property
+    def elements(self) -> tuple[np.ndarray, ...]:
+        return self._elements
 
     @property
     def dim(self) -> int:
@@ -119,11 +124,11 @@ class ProjectiveMeasurement(POVM):
                     raise NotProjector(f"projectors {i},{j} not orthogonal")
         if np.linalg.norm(sum(projs) - np.eye(len(projs[0]))) > TOL_PROJ:
             raise NotProjector("projectors do not sum to identity")
-        self.elements = projs
+        self._elements = tuple(projs)
 
     @property
-    def projectors(self) -> list[np.ndarray]:
-        return self.elements
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return self._elements
 
 
 @dataclass

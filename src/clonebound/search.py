@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
@@ -142,14 +143,18 @@ class SearchResult:
                 + _pairs_json(self.best_v) + "}}")
 
 
-def _move_rows(k: int, n: int, pairs) -> tuple[int, int]:
+def _move_rows(k: int, n: int) -> tuple[int, int]:
     """The rows of V that move k rotates: (k, k) for the phase k < n, else
-    the pair (a, b) of its real or imaginary rotation; ``pairs`` is
-    np.triu_indices(n, 1)."""
+    the pair (a, b) of its real or imaginary rotation, the j-th of the
+    m = n(n-1)/2 pairs a < b in row-major order (np.triu_indices(n, 1)'s),
+    j = (k - n) mod m. Counted from the last pair, r = m - 1 - j lies in the
+    t-th row from the end, t the largest with t(t+1)/2 <= r."""
     if k < n:
         return k, k
-    j = (k - n) % len(pairs[0])
-    return pairs[0].item(j), pairs[1].item(j)
+    m = n * (n - 1) // 2
+    r = m - 1 - (k - n) % m
+    t = (math.isqrt(8 * r + 1) - 1) // 2
+    return n - 2 - t, n - 1 - (r - t * (t + 1) // 2)
 
 
 def _live_rows(factors: np.ndarray, n: int) -> list[bool]:
@@ -158,10 +163,9 @@ def _live_rows(factors: np.ndarray, n: int) -> list[bool]:
     return factors.reshape(2, n, -1).any(axis=(0, 2)).tolist()
 
 
-def _rotate(v: np.ndarray, k: int, angle: float, pairs) -> np.ndarray:
+def _rotate(v: np.ndarray, k: int, angle: float) -> np.ndarray:
     """exp(i angle E_k) v for the k-th of the n^2 Hermitian coordinate
-    generators of n x n matrices, as a new array; ``pairs`` is
-    np.triu_indices(n, 1).
+    generators of n x n matrices, as a new array.
 
     k < n: E_k = |k><k|, a phase on row k. The next n(n-1)/2 generators are
     |a><b| + |b><a| and the last n(n-1)/2 are i|a><b| - i|b><a|, for the
@@ -169,12 +173,12 @@ def _rotate(v: np.ndarray, k: int, angle: float, pairs) -> np.ndarray:
     """
     out = v.copy()
     n = v.shape[0]
-    a, b = _move_rows(k, n, pairs)
+    a, b = _move_rows(k, n)
     if a == b:
         out[a] *= np.exp(1j * angle)
         return out
     c, s = np.cos(angle), np.sin(angle)
-    if k - n >= len(pairs[0]):  # imaginary rotation
+    if k - n >= n * (n - 1) // 2:  # imaginary rotation
         out[a], out[b] = c * v[a] - s * v[b], s * v[a] + c * v[b]
     else:
         out[a], out[b] = c * v[a] + 1j * s * v[b], 1j * s * v[a] + c * v[b]
@@ -209,7 +213,6 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
         rho1, rho2, (upsilon1.dim, upsilon2.dim), *dims)
     objective = _Channel(rho1, rho2, upsilon1, upsilon2, n_in, n_out)
     n_params = total * total
-    pairs = np.triu_indices(total, 1)
 
     best_r = best_v = None
     traces: list[list[float]] = []
@@ -229,10 +232,10 @@ def minimize_relative_error(rho1: DensityMatrix, rho2: DensityMatrix,
                 break
             k = int(rng.integers(n_params))
             sign = -1.0 if rng.random() < 0.5 else 1.0
-            a, b = _move_rows(k, total, pairs)
+            a, b = _move_rows(k, total)
             r = cur  # on two zero rows of V K, a rotation keeps V K unchanged
             if live[a] or live[b]:
-                cand = _rotate(v, k, sign * step, pairs)
+                cand = _rotate(v, k, sign * step)
                 factors = objective._factors(cand)
                 # a floor at or above cur puts the exact value there too, so
                 # the move is rejected unevaluated; a NaN floor falls through
@@ -387,14 +390,14 @@ def _triple(rng, d, n):
     return us, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
 
 
-def _triangle(rng, d, n):
+def _triangle_and_fidelity_difference(rng, d, n):
+    """Both triple checks on one draw of n state triples: the angle triangle
+    margin and the fidelity difference margin of each triple, from the one
+    stacked _bures call of _triple."""
     (u_co, u_cr, u_or), describe = _triple(rng, d, n)
-    return _angle(u_co) - (_angle(u_cr) + _angle(u_or)), describe
-
-
-def _fidelity_difference(rng, d, n):
-    (u_co, u_cr, u_or), describe = _triple(rng, d, n)
-    return np.abs(_fidelity(u_cr) - _fidelity(u_or)) - np.sin(_angle(u_co)), describe
+    a_co = _angle(u_co)
+    return ((a_co - (_angle(u_cr) + _angle(u_or)), describe),
+            (np.abs(_fidelity(u_cr) - _fidelity(u_or)) - np.sin(a_co), describe))
 
 
 _MAX_OUTCOMES = 5
@@ -413,8 +416,8 @@ def _probability_deviation(rng, d, n):
     chi, omega = _density_factors(rng, d, n), _density_factors(rng, d, n)
     p, q = _probabilities(elems, _density_from_factor(np.stack((chi, omega))))
     margins = np.max(np.abs(p - q), axis=-1) - np.sin(_angle(_bures(chi, omega)))
-    return margins, lambda i: {"povm": POVM(elems[i, :outcomes[i]]).to_dict(),
-                               **_density_docs(i, chi=chi, omega=omega)}
+    return ((margins, lambda i: {"povm": POVM(elems[i, :outcomes[i]]).to_dict(),
+                                 **_density_docs(i, chi=chi, omega=omega)}),)
 
 
 def _projector_gap(rng, d, n):
@@ -425,38 +428,41 @@ def _projector_gap(rng, d, n):
     proj = (proj + _dagger(proj)) / 2.0  # exactly Hermitian, like every density
     _require_projector(proj)
     margins = _projector_gap_stack(x, y, proj) - np.sin(_angle(_bures_pure(x, y)))
-    return margins, lambda i: {"x": PureState(x[i]).to_dict(),
-                               "y": PureState(y[i]).to_dict(),
-                               "projector": {"dim": d,
-                                             "entries": matrix_to_entries(proj[i])}}
+    return ((margins, lambda i: {"x": PureState(x[i]).to_dict(),
+                                 "y": PureState(y[i]).to_dict(),
+                                 "projector": {"dim": d,
+                                               "entries": matrix_to_entries(proj[i])}}),)
 
 
-# family(rng, d, n) draws n trials and returns their margins and describe(i),
-# which validates trial i's inputs as objects and serializes them
+# (check names, family): family(rng, d, n) draws n trials and returns, per
+# check, their margins and describe(i), which validates trial i's inputs as
+# objects and serializes them. The angle triangle and fidelity difference
+# checks read the same three u of a state triple, so they share one family:
+# both check the same triples, drawn and decomposed once.
 _FAMILIES = (
-    ("angle_triangle", _triangle),
-    ("fidelity_difference", _fidelity_difference),
-    ("probability_deviation", _probability_deviation),
-    ("projector_gap", _projector_gap),
+    (("angle_triangle", "fidelity_difference"), _triangle_and_fidelity_difference),
+    (("probability_deviation",), _probability_deviation),
+    (("projector_gap",), _projector_gap),
 )
 
 
 def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     """Randomized check of the four core inequalities at dimension d.
 
-    Families: the angle triangle inequality on state triples; the fidelity
+    Checks: the angle triangle inequality on state triples; the fidelity
     difference bound |F(chi,rho) - F(omega,rho)| <= sin(angle); the
     probability deviation bound over random 2-5 outcome POVMs; and the
-    projector gap bound for pure states. Each family draws and checks its
-    trials as (batch, d, d) stacks, CHUNK at a time: a state triple's three
-    fidelities come from one stacked _bures call, and the Born rule is one
-    contraction over both states of a trial. Margins are lhs - rhs; any
-    margin not at or below the slack, NaN included, counts as a violation.
-    Only the worst trial (the first maximum, or the first NaN) is validated
-    as objects and serialized into the report, on the first use of its
-    check's worst_case, so a report written as CSV serializes none. Its
-    densities are validated as one stack, each by the checks DensityMatrix
-    runs.
+    projector gap bound for pure states. Each check tests ``trials``
+    independent trials, drawn and checked as (batch, d, d) stacks, CHUNK at a
+    time. The first two checks read the same state triples: a triple's three
+    fidelities come from one stacked _bures call and give both margins. The
+    Born rule is one contraction over both states of a trial. Margins are
+    lhs - rhs; any margin not at or below the slack, NaN included, counts as
+    a violation. Only the worst trial (the first maximum, or the first NaN)
+    of each check is validated as objects and serialized into the report, on
+    the first use of its check's worst_case, so a report written as CSV
+    serializes none. Its densities are validated as one stack, each by the
+    checks DensityMatrix runs.
     """
     d = _integral(d, "d")
     trials = _integral(trials, "trials")
@@ -469,19 +475,21 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
         raise OutOfRange(f"seed {seed} must be >= 0")
     rng = np.random.default_rng([seed, d])
     report = VerificationReport(d=d, trials=trials, seed=seed, slack=CHAIN_SLACK)
-    for name, family in _FAMILIES:
-        violations = 0
-        worst = None  # (margin, describe of its chunk, index in the chunk)
+    for names, family in _FAMILIES:
+        violations = [0] * len(names)
+        worst = [None] * len(names)  # per check: (margin, describe of its chunk, index)
         for start in range(0, trials, CHUNK):
-            margins, describe = family(rng, d, min(CHUNK, trials - start))
-            violations += int(np.count_nonzero(~(margins <= CHAIN_SLACK)))
-            i = int(np.argmax(margins))
-            # np.argmax's rule across chunks: a later chunk wins only with a
-            # larger margin, or with a NaN over a number
-            if worst is None or np.argmax([worst[0], margins[i]]) == 1:
-                worst = (margins[i], describe, i)
-        report.checks.append(InequalityCheck(name, trials, violations, float(worst[0]),
-                                             functools.partial(worst[1], worst[2])))
+            checks = family(rng, d, min(CHUNK, trials - start))
+            for c, (margins, describe) in enumerate(checks):
+                violations[c] += int(np.count_nonzero(~(margins <= CHAIN_SLACK)))
+                i = int(np.argmax(margins))
+                # np.argmax's rule across chunks: a later chunk wins only with
+                # a larger margin, or with a NaN over a number
+                if worst[c] is None or np.argmax([worst[c][0], margins[i]]) == 1:
+                    worst[c] = (margins[i], describe, i)
+        for name, count, (margin, describe, i) in zip(names, violations, worst):
+            report.checks.append(InequalityCheck(name, trials, count, float(margin),
+                                                 functools.partial(describe, i)))
     return report
 
 

@@ -171,7 +171,7 @@ class PureState:
     """A unit-norm state vector; ``amp`` is a read-only copy, by
     linalg._unshared's rule."""
 
-    __slots__ = ("amp",)
+    __slots__ = ("_amp",)
 
     def __init__(self, amp):
         a = linalg._unshared(np.asarray(amp, dtype=complex), amp).reshape(-1)
@@ -181,11 +181,15 @@ class PureState:
         linalg._require_finite(a, "state vector")
         _require_unit(a)
         a.flags.writeable = False
-        self.amp = a
+        self._amp = a
+
+    @property
+    def amp(self) -> np.ndarray:
+        return self._amp
 
     @property
     def dim(self) -> int:
-        return self.amp.size
+        return self._amp.size
 
     def density(self) -> DensityMatrix:
         """|y><y| as a DensityMatrix with its factor y.

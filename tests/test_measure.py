@@ -208,6 +208,11 @@ def test_a_caller_mutating_its_arrays_changes_no_state_or_measurement():
         x = PureState(amp)
         source[...] = 5
         assert np.array_equal(x.amp, [1, 0]) and not x.amp.flags.writeable
+        with pytest.raises(AttributeError):
+            x.amp = np.array([5, 0], dtype=complex)
+        with pytest.raises(ValueError):
+            x.amp[0] = 5
+        assert np.array_equal(x.amp, [1, 0])
     rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
     for cls in (POVM, ProjectiveMeasurement):
         e1, e2 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
@@ -217,6 +222,19 @@ def test_a_caller_mutating_its_arrays_changes_no_state_or_measurement():
                 m[..., 0, 0] = 7
             assert probabilities(meas, rho) == [0.5, 0.5]
             assert not any(e.flags.writeable for e in meas.elements)
+            with pytest.raises(TypeError):
+                meas.elements[0] = np.diag([7, 0]).astype(complex)
+            with pytest.raises(AttributeError):
+                meas.elements = [np.diag([7, 0]).astype(complex), e2]
+            with pytest.raises(ValueError):
+                meas.elements[0][0, 0] = 7
+            assert probabilities(meas, rho) == [0.5, 0.5]
+    meas = ProjectiveMeasurement([np.diag([1, 0]).astype(complex),
+                                  np.diag([0, 1]).astype(complex)])
+    with pytest.raises(AttributeError):
+        meas.projectors = ()
+    with pytest.raises(TypeError):
+        meas.projectors[0] = np.eye(2, dtype=complex)
 
 
 def test_probability_deviation_bounded_by_sine():

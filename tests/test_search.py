@@ -158,13 +158,28 @@ def _generator(n: int, k: int) -> np.ndarray:
 def test_a_move_is_the_exponential_of_its_generator(n, ks):
     v = oracles.haar_unitary(np.random.default_rng(n), n)
     before = v.copy()
-    pairs = np.triu_indices(n, 1)
     for k in ks:
         for angle in (0.5, -0.05, 2.9):
             want = oracles.expm_scipy(angle * _generator(n, k)) @ v
-            got = search._rotate(v, k, angle, pairs)
+            got = search._rotate(v, k, angle)
             assert np.max(np.abs(got - want)) <= 1e-14, (n, k, angle)
     assert np.array_equal(v, before)  # a move returns a new array
+
+
+def test_the_closed_form_row_pair_is_the_triu_table_order():
+    for n in range(2, 81):
+        a, b = np.triu_indices(n, 1)
+        want = [(k, k) for k in range(n)] + list(zip(a.tolist(), b.tolist())) * 2
+        assert [search._move_rows(k, n) for k in range(n * n)] == want, n
+    # at the 4096 cap, without the table: the pair's row-major index j(a, b)
+    # = a n - a(a+1)/2 + b - a - 1 maps back to the move's
+    n = 4096
+    m = n * (n - 1) // 2
+    ks = np.random.default_rng(4096).integers(n, n * n, size=2000).tolist()
+    for k in ks + [n, n + m - 1, n + m, n * n - 1]:
+        a, b = search._move_rows(k, n)
+        assert 0 <= a < b < n, k
+        assert a * n - a * (a + 1) // 2 + b - a - 1 == (k - n) % m, k
 
 
 def test_a_candidate_costs_no_eigendecomposition(monkeypatch):
@@ -361,12 +376,11 @@ def test_a_move_on_dead_rows_leaves_the_channel_unchanged():
     joint = np.kron(rho1.matrix, ups.matrix) + np.kron(rho2.matrix, ups.matrix)
     live = np.flatnonzero(search._live_rows(factors, n))
     assert np.array_equal(live, np.flatnonzero(np.diag(joint)))
-    pairs = np.triu_indices(n, 1)
     dead = [k for k in range(n * n) if not np.any(_generator(n, k)[:, live])]
     assert len(dead) == n - 2 + (n - 2) * (n - 3)  # phases and both rotations
     for k in dead:
         for angle in (0.5, -0.05, 2.9):
-            cand = channel._factors(search._rotate(v, k, angle, pairs))
+            cand = channel._factors(search._rotate(v, k, angle))
             assert np.array_equal(cand, factors), (k, angle)
             assert channel.evaluate(cand)[2] == cur, (k, angle)
 
@@ -720,21 +734,47 @@ def test_worst_case_density_corruption_raises_its_typed_error(monkeypatch, corru
     [0.1, 0.5, 0.2, 0.3, np.nan, 0.1, np.nan, 0.9, 0.0, 2e-9],  # first NaN wins
 ])
 def test_verify_worst_case_across_chunks_is_the_global_argmax(monkeypatch, margins):
+    # a family of two checks, each with its own margins: the second check's
+    # are the first's reversed, so each check keeps its own worst trial
     margins = np.array(margins)
+    per_check = (margins, margins[::-1].copy())
     pos = [0]
 
     def family(rng, d, n):
         start = pos[0]
         pos[0] += n
-        return margins[start:start + n], lambda i: {"trial": start + i}
+        return tuple((m[start:start + n], lambda i, c=c: {"check": c, "trial": start + i})
+                     for c, m in enumerate(per_check))
 
     monkeypatch.setattr(search, "CHUNK", 3)
-    monkeypatch.setattr(search, "_FAMILIES", (("fake", family),))
-    check = verify_inequalities(2, len(margins), seed=0).checks[0]
-    worst = int(np.argmax(margins))
-    assert check.worst_case == {"trial": worst}
-    assert check.max_margin == margins[worst] or math.isnan(check.max_margin)
-    assert check.violations == np.count_nonzero(~(margins <= cloning.CHAIN_SLACK))
+    monkeypatch.setattr(search, "_FAMILIES", ((("fake", "fake_reversed"), family),))
+    checks = verify_inequalities(2, len(margins), seed=0).checks
+    assert [c.name for c in checks] == ["fake", "fake_reversed"]
+    for c, (check, m) in enumerate(zip(checks, per_check)):
+        worst = int(np.argmax(m))
+        assert check.worst_case == {"check": c, "trial": worst}
+        assert check.max_margin == m[worst] or math.isnan(check.max_margin)
+        assert check.violations == np.count_nonzero(~(m <= cloning.CHAIN_SLACK))
+
+
+def test_the_two_triple_checks_share_one_draw_and_one_bures_call(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(a.shape)
+        return _bures(a, b)
+
+    monkeypatch.setattr(search, "_bures", counting)
+    monkeypatch.setattr(search, "CHUNK", 16)
+    report = verify_inequalities(3, 40, seed=5)
+    # 3 chunks: one stacked call of the 3 pairs of each triple chunk, then one
+    # call per probability-deviation chunk
+    assert calls == [(3, 16, 3, 3), (3, 16, 3, 3), (3, 8, 3, 3),
+                     (16, 3, 3), (16, 3, 3), (8, 3, 3)]
+    assert [c.trials for c in report.checks] == [40] * 4
+    tri, fid = verify_inequalities(3, 1, seed=5).checks[:2]
+    assert tri.worst_case == fid.worst_case
+    assert list(tri.worst_case) == ["chi", "omega", "rho"]
 
 
 def test_sweep_bound_rows():
