@@ -241,17 +241,23 @@ def _projector_gap_stack(x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndar
     return np.abs(expect(x) - expect(y))
 
 
-def _normalized_povm(parts: np.ndarray) -> np.ndarray:
-    """PSD parts A_a, as a (..., m, d, d) stack, turned into POVM elements
-    S A_a S with S the inverse square root of sum_a A_a."""
-    tw, tu = np.linalg.eigh(parts.sum(axis=-3))
-    inv_sqrt = ((tu / np.sqrt(tw)[..., None, :]) @ linalg._dagger(tu))[..., None, :, :]
-    e = inv_sqrt @ parts @ inv_sqrt
+def _normalized_povm(factors: np.ndarray) -> np.ndarray:
+    """POVM elements from factors G_a, as a (..., m, d, k) stack: with W the
+    d x (m k) side-by-side factor [G_1 ... G_m], S = W W^dagger the sum of
+    the parts G_a G_a^dagger and H = S^(-1/2) W, element a is the Gram
+    product H_a H_a^dagger, symmetrized. One eigh per list and one product
+    per element; a zero factor gives an exactly zero element."""
+    *lead, m, d, k = factors.shape
+    w = np.moveaxis(factors, -3, -2).reshape(*lead, d, m * k)
+    tw, tu = np.linalg.eigh(w @ linalg._dagger(w))
+    h = ((tu / np.sqrt(tw)[..., None, :]) @ linalg._dagger(tu)) @ w
+    h = np.moveaxis(h.reshape(*lead, d, m, k), -2, -3)
+    e = h @ linalg._dagger(h)
     return (e + linalg._dagger(e)) / 2.0
 
 
 def random_povm(d: int, outcomes: int, seed: int) -> POVM:
-    """Random POVM: PSD parts G_a G_a^dagger normalized by the inverse-sqrt sum."""
+    """Random POVM: d x d Ginibre factors G_a made into elements by _normalized_povm."""
     d, outcomes = linalg._integral(d, "d"), linalg._integral(outcomes, "outcomes")
     if d < 1:
         raise OutOfRange(f"dimension {d} must be >= 1")
@@ -259,8 +265,5 @@ def random_povm(d: int, outcomes: int, seed: int) -> POVM:
         raise OutOfRange(f"outcomes {outcomes} must be >= 1")
     linalg._check_cap(d, "dimension")
     rng = np.random.default_rng(seed)
-    parts = []
-    for _ in range(outcomes):
-        g = _ginibre(rng, (d, d))
-        parts.append(g @ g.conj().T)
-    return POVM(list(_normalized_povm(np.stack(parts))))
+    g = np.stack([_ginibre(rng, (d, d)) for _ in range(outcomes)])
+    return POVM(list(_normalized_povm(g)))

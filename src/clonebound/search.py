@@ -382,42 +382,40 @@ def _density_docs(i: int, **factors) -> dict:
 
 
 def _triple(rng, d, n):
-    """Three density factor stacks and u = 1 - sqrt(F) of the pairs
-    (chi, omega), (chi, rho) and (omega, rho), as one (3, n) array from one
-    _bures call on the stacked pairs."""
+    """Three density factor stacks (chi, omega, rho) and u = 1 - sqrt(F) of
+    the pairs (chi, omega), (chi, rho) and (omega, rho), as one (3, n) array
+    from one _bures call on the stacked pairs."""
     chi, omega, rho = (_density_factors(rng, d, n) for _ in range(3))
-    us = _bures(np.stack((chi, chi, omega)), np.stack((omega, rho, rho)))
-    return us, lambda i: _density_docs(i, chi=chi, omega=omega, rho=rho)
-
-
-def _triangle_and_fidelity_difference(rng, d, n):
-    """Both triple checks on one draw of n state triples: the angle triangle
-    margin and the fidelity difference margin of each triple, from the one
-    stacked _bures call of _triple."""
-    (u_co, u_cr, u_or), describe = _triple(rng, d, n)
-    a_co = _angle(u_co)
-    return ((a_co - (_angle(u_cr) + _angle(u_or)), describe),
-            (np.abs(_fidelity(u_cr) - _fidelity(u_or)) - np.sin(a_co), describe))
+    return (chi, omega, rho), _bures(np.stack((chi, chi, omega)), np.stack((omega, rho, rho)))
 
 
 _MAX_OUTCOMES = 5
 
 
-def _probability_deviation(rng, d, n):
+def _triple_checks(rng, d, n):
+    """The three checks on one draw of n state triples: the angle triangle
+    and fidelity difference margins from the one stacked _bures call of
+    _triple, and the probability deviation of a random POVM, drawn after
+    the triple, on its (chi, omega) against the same u(chi, omega)."""
+    (chi, omega, rho), (u_co, u_cr, u_or) = _triple(rng, d, n)
+    a_co = _angle(u_co)
+    sin_co = np.sin(a_co)
     # 2-5 outcomes per trial, padded to 5 with zero elements: a zero element
     # has p = q = 0 and leaves the largest deviation unchanged. Each element
-    # is a Gram product (S G_a)(S G_a)^dagger, so PSD by construction; only
-    # Hermiticity and the sum to the identity are checked.
+    # is a Gram product, so PSD by construction; only Hermiticity and the
+    # sum to the identity are checked.
     outcomes = rng.integers(2, _MAX_OUTCOMES + 1, size=n)
     g = _ginibre(rng, (n, _MAX_OUTCOMES, d, d))
     g *= (np.arange(_MAX_OUTCOMES) < outcomes[:, None])[..., None, None]
-    elems = _normalized_povm(g @ _dagger(g))
+    elems = _normalized_povm(g)
     _require_resolution(elems)
-    chi, omega = _density_factors(rng, d, n), _density_factors(rng, d, n)
     p, q = _probabilities(elems, _density_from_factor(np.stack((chi, omega))))
-    margins = np.max(np.abs(p - q), axis=-1) - np.sin(_angle(_bures(chi, omega)))
-    return ((margins, lambda i: {"povm": POVM(elems[i, :outcomes[i]]).to_dict(),
-                                 **_density_docs(i, chi=chi, omega=omega)}),)
+    triple = functools.partial(_density_docs, chi=chi, omega=omega, rho=rho)
+    return ((a_co - (_angle(u_cr) + _angle(u_or)), triple),
+            (np.abs(_fidelity(u_cr) - _fidelity(u_or)) - sin_co, triple),
+            (np.max(np.abs(p - q), axis=-1) - sin_co,
+             lambda i: {"povm": POVM(elems[i, :outcomes[i]]).to_dict(),
+                        **_density_docs(i, chi=chi, omega=omega)}))
 
 
 def _projector_gap(rng, d, n):
@@ -436,12 +434,12 @@ def _projector_gap(rng, d, n):
 
 # (check names, family): family(rng, d, n) draws n trials and returns, per
 # check, their margins and describe(i), which validates trial i's inputs as
-# objects and serializes them. The angle triangle and fidelity difference
-# checks read the same three u of a state triple, so they share one family:
-# both check the same triples, drawn and decomposed once.
+# objects and serializes them. The angle triangle, fidelity difference and
+# probability deviation checks all read u(chi, omega) of a state triple, so
+# they share one family: all three check the same triples, drawn and
+# decomposed once.
 _FAMILIES = (
-    (("angle_triangle", "fidelity_difference"), _triangle_and_fidelity_difference),
-    (("probability_deviation",), _probability_deviation),
+    (("angle_triangle", "fidelity_difference", "probability_deviation"), _triple_checks),
     (("projector_gap",), _projector_gap),
 )
 
@@ -454,8 +452,10 @@ def verify_inequalities(d: int, trials: int, seed: int) -> VerificationReport:
     probability deviation bound over random 2-5 outcome POVMs; and the
     projector gap bound for pure states. Each check tests ``trials``
     independent trials, drawn and checked as (batch, d, d) stacks, CHUNK at a
-    time. The first two checks read the same state triples: a triple's three
-    fidelities come from one stacked _bures call and give both margins. The
+    time. The first three checks read the same state triples: a triple's
+    three fidelities come from one stacked _bures call and give all three
+    margins, the probability deviation on the triple's (chi, omega) pair.
+    POVM elements are Gram products H_a H_a^dagger, one eigh per chunk. The
     Born rule is one contraction over both states of a trial. Margins are
     lhs - rhs; any margin not at or below the slack, NaN included, counts as
     a violation. Only the worst trial (the first maximum, or the first NaN)

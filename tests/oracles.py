@@ -271,3 +271,22 @@ def schur_walk_target_overlap(a: np.ndarray, b: np.ndarray, phi: float,
         else:
             lo, g_lo = mid, g_mid
     return v_mid, g_mid, float(mid)
+
+
+def normalized_povm_mp(factors: np.ndarray, digits: int = 40) -> np.ndarray:
+    """S^(-1/2) (G_a G_a^dagger) S^(-1/2) for each factor G_a of an (m, d, k)
+    stack, with S = sum_a G_a G_a^dagger, taken exactly as given at
+    ``digits`` decimal digits."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        gs = [mpmath.matrix([[mpmath.mpc(complex(c)) for c in row] for row in g])
+              for g in factors]
+        parts = [g * g.H for g in gs]
+        s = mpmath.zeros(factors.shape[1])
+        for p in parts:
+            s += p
+        w, u = mpmath.eighe(s)
+        inv_sqrt = u * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * u.H
+        return np.array([[[complex(x) for x in (inv_sqrt * p * inv_sqrt)[i, :]]
+                          for i in range(factors.shape[1])] for p in parts])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clonebound import measure
+from clonebound import linalg, measure
 from clonebound.errors import (
     DimMismatch,
     InvalidPOVM,
@@ -296,6 +296,37 @@ def test_random_povm_properties():
         random_povm(0, 2, seed=0)
     with pytest.raises(OutOfRange):
         random_povm(2, 0, seed=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_gram_form_povm_elements_match_a_40_digit_oracle(d):
+    # factors with rows scaled from 1 down to 10**-(spread/2), so S = sum_a
+    # G_a G_a^dagger has condition numbers up to 1e8 and beyond; some lists
+    # carry zero factors at random positions. The largest rows come first:
+    # in another row order, or under a rotation, the eigh of the formed S
+    # loses up to eps * cond(S) itself, for every formula built on it
+    # (1.7e-8 at cond 1.5e8), so no 1e-12 match is possible there
+    rng = np.random.default_rng(500 + d)
+    conds = []
+    for m in range(1, 6):
+        for pad in sorted({0, 5 - m}):
+            for spread in (0, 4, 8):
+                g = measure._ginibre(rng, (m + pad, d, d))
+                zero = rng.permutation(m + pad)[:pad]
+                g[zero] = 0.0
+                g *= np.logspace(0, -spread / 2, d)[:, None]
+                conds.append(np.linalg.cond(sum(x @ x.conj().T for x in g)))
+                elems = measure._normalized_povm(g)
+                exact = oracles.normalized_povm_mp(g)
+                for a, (e, x) in enumerate(zip(elems, exact)):
+                    if a in zero:
+                        assert np.all(e == 0.0)
+                        continue
+                    assert np.linalg.norm(e - x) <= 1e-12 * np.linalg.norm(x), (m, pad, spread, a)
+                    assert np.array_equal(e, e.conj().T)
+                    assert np.linalg.eigvalsh(e)[0] >= -linalg.TOL_PSD
+                assert np.linalg.norm(elems.sum(axis=0) - np.eye(d)) <= linalg.TOL_SUM
+    assert max(conds) > 1e8
 
 
 def test_random_povm_deterministic():

@@ -703,9 +703,10 @@ def test_stacked_triple_equals_three_bures_calls(d):
     stacked = _bures(np.stack((chi, chi, omega)), np.stack((omega, rho, rho)))
     for got, (a, b) in zip(stacked, ((chi, omega), (chi, rho), (omega, rho))):
         assert np.array_equal(got, _bures(a, b))
-    us, _ = search._triple(np.random.default_rng(7), d, 16)
+    factors, us = search._triple(np.random.default_rng(7), d, 16)
     again = np.random.default_rng(7)
     chi, omega, rho = (search._density_factors(again, d, 16) for _ in range(3))
+    assert all(np.array_equal(a, b) for a, b in zip(factors, (chi, omega, rho)))
     assert np.array_equal(us, np.stack((_bures(chi, omega), _bures(chi, rho),
                                         _bures(omega, rho))))
 
@@ -757,7 +758,7 @@ def test_verify_worst_case_across_chunks_is_the_global_argmax(monkeypatch, margi
         assert check.violations == np.count_nonzero(~(m <= cloning.CHAIN_SLACK))
 
 
-def test_the_two_triple_checks_share_one_draw_and_one_bures_call(monkeypatch):
+def test_the_three_triple_checks_share_one_draw_and_one_bures_call(monkeypatch):
     calls = []
 
     def counting(a, b):
@@ -767,14 +768,16 @@ def test_the_two_triple_checks_share_one_draw_and_one_bures_call(monkeypatch):
     monkeypatch.setattr(search, "_bures", counting)
     monkeypatch.setattr(search, "CHUNK", 16)
     report = verify_inequalities(3, 40, seed=5)
-    # 3 chunks: one stacked call of the 3 pairs of each triple chunk, then one
-    # call per probability-deviation chunk
-    assert calls == [(3, 16, 3, 3), (3, 16, 3, 3), (3, 8, 3, 3),
-                     (16, 3, 3), (16, 3, 3), (8, 3, 3)]
+    # 3 chunks: one stacked call of the 3 pairs of each triple chunk, which
+    # also gives the probability deviation its u(chi, omega)
+    assert calls == [(3, 16, 3, 3), (3, 16, 3, 3), (3, 8, 3, 3)]
     assert [c.trials for c in report.checks] == [40] * 4
-    tri, fid = verify_inequalities(3, 1, seed=5).checks[:2]
+    tri, fid, dev = verify_inequalities(3, 1, seed=5).checks[:3]
     assert tri.worst_case == fid.worst_case
     assert list(tri.worst_case) == ["chi", "omega", "rho"]
+    assert list(dev.worst_case) == ["povm", "chi", "omega"]
+    assert dev.worst_case["chi"] == tri.worst_case["chi"]
+    assert dev.worst_case["omega"] == tri.worst_case["omega"]
 
 
 def test_sweep_bound_rows():
