@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -85,7 +85,8 @@ def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
 
     A power whose dimension d^k exceeds linalg.MAX_DIM is refused before any
     Kronecker product is formed. The power carries the power of rho's
-    factor, and of the density invariants only its trace is checked.
+    factor, on which its trace is checked, and forms its matrix, the power
+    of rho's, only when it is read (see DensityMatrix).
     """
     k = _integral(k, "tensor power")
     if k < 1:
@@ -94,8 +95,8 @@ def tensor_power(rho: DensityMatrix, k: int) -> DensityMatrix:
         return rho
     linalg._check_cap(rho.dim ** min(k, _MAX_OUTPUTS + 1),
                       f"tensor power {rho.dim}^{k}: dimension at least")
-    return DensityMatrix._from_factor(_kron_power(rho.matrix, k),
-                                      _kron_power(rho._psd_factor(), k))
+    return DensityMatrix._from_factor(_kron_power(rho._psd_factor(), k),
+                                      lambda: _kron_power(rho.matrix, k))
 
 
 def _copy_counts(rho1: DensityMatrix, rho2: DensityMatrix, n_in: int, n_out: int,
@@ -147,13 +148,14 @@ class CloningSetup:
     M = n_out - n_in, and the joint unitary on C^(d^L * e). The fields are
     validated together at construction and stay fixed afterwards: assigning
     one raises AttributeError, and ``v`` is a read-only array apart from the
-    caller's. The channel (see _Channel) is built once, on
-    first use, and shared by apply_cloning and proof_chain_check; each of
-    them still evaluates it under V, soundness check included.
+    caller's. The channel (see _Channel) is built once, on first use, and
+    evaluated once under V, on first use: apply_cloning and
+    proof_chain_check share that evaluation, and each call compares its
+    relative error with the bound again (see _evaluation).
     """
 
     __slots__ = ("rho1", "rho2", "upsilon1", "upsilon2", "v",
-                 "n_in", "n_out", "env_dim", "_chan")
+                 "n_in", "n_out", "env_dim", "_chan", "_eval")
 
     def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix,
                  upsilon1: DensityMatrix, upsilon2: DensityMatrix,
@@ -174,7 +176,8 @@ class CloningSetup:
         self.v.flags.writeable = False
 
     def __setattr__(self, name: str, value) -> None:
-        # the channel is built from the fields on first use, so none may change
+        # the channel is built and evaluated from the fields on first use, so
+        # none may change
         if hasattr(self, name):
             raise AttributeError(f"CloningSetup.{name} is fixed at construction")
         object.__setattr__(self, name, value)
@@ -194,6 +197,23 @@ class CloningSetup:
             self._chan = _Channel(self.rho1, self.rho2, self.upsilon1,
                                   self.upsilon2, self.n_in, self.n_out)
             return self._chan
+
+    def _evaluation(self):
+        """(A, u, absolute error, relative error): the channel's output
+        factors A under V, as one read-only (2, o, e * k) stack, and
+        _Channel.evaluate's figures for them. Formed on first use and kept;
+        every call, the first included, checks the kept relative error
+        against the bound (see _Channel.check)."""
+        try:
+            evaluation = self._eval
+        except AttributeError:
+            channel = self._channel()
+            factors = channel._factors(self.v)
+            factors.flags.writeable = False
+            self._eval = (factors, *channel.evaluate(factors))
+            return self._eval
+        self._chan.check(evaluation[3])
+        return evaluation
 
     def __repr__(self) -> str:
         return (f"CloningSetup(d={self.d}, n_in={self.n_in}, "
@@ -308,9 +328,11 @@ class _Channel:
     denominator, all from states._bures on the small factors. No n x n
     matrix is formed. ``evaluate`` is the one unvalidated evaluation path,
     on the output factors V K that ``_factors`` forms under V: the search
-    and proof_chain_check call it directly, and apply_cloning wraps its
-    outputs as validated states. ``floor`` bounds its value from below at a
-    fraction of its cost, for the search to reject a move with.
+    calls it on every candidate, and a CloningSetup once, for apply_cloning
+    and proof_chain_check to share; ``check`` is its soundness guard.
+    ``floor`` bounds its value from below at a fraction of its cost, for the
+    search to reject a move with; its V-free parts are formed on its first
+    call, so a channel that is only evaluated never forms them.
     """
 
     def __init__(self, rho1: DensityMatrix, rho2: DensityMatrix,
@@ -324,9 +346,16 @@ class _Channel:
         self.ideal_factors = _side_by_side(ideals)
         self.inputs = _side_by_side([linalg._kron(_kron_power(k, n_in), y)
                                      for k, y in zip(factors, ancillas)])
-        # the floor's V-free parts: B_i^dagger and ||B_i||_F^2
-        self._ideal_dagger = np.ascontiguousarray(_dagger(self.ideal_factors))
-        self._ideal_norms = [float(np.vdot(b, b).real) for b in self.ideal_factors]
+
+    @cached_property
+    def _ideal_dagger(self) -> np.ndarray:
+        """B_i^dagger, a V-free part of the floor, formed on its first call."""
+        return np.ascontiguousarray(_dagger(self.ideal_factors))
+
+    @cached_property
+    def _ideal_norms(self) -> list[float]:
+        """||B_i||_F^2, a V-free part of the floor, formed on its first call."""
+        return [float(np.vdot(b, b).real) for b in self.ideal_factors]
 
     def _factors(self, v: np.ndarray) -> np.ndarray:
         """Output factors A_i = (V K_i).reshape(o, e * k) of both inputs, as
@@ -338,17 +367,21 @@ class _Channel:
         """(u_i = 1 - sqrt(F_i), absolute and relative error) of the output
         factors ``_factors`` forms under V.
 
-        Raises SoundnessViolation if the relative error lands below the bound
-        minus SOUNDNESS_TOL, which no correct evaluation can do.
+        Raises SoundnessViolation as ``check`` does.
         """
         us = _bures(factors, self.ideal_factors)
         abs_err = float(_sine(us).sum())
         rel_err = abs_err / self.denominator
+        self.check(rel_err)
+        return us, abs_err, rel_err
+
+    def check(self, rel_err: float) -> None:
+        """Raise SoundnessViolation if a relative error lands below the bound
+        minus SOUNDNESS_TOL, which no correct evaluation can do."""
         if rel_err < self.bound - SOUNDNESS_TOL:
             raise SoundnessViolation(
                 f"relative error {rel_err} below bound {self.bound} - {SOUNDNESS_TOL}"
             )
-        return us, abs_err, rel_err
 
     def floor(self, factors: np.ndarray) -> float:
         """A float at or below the relative error ``evaluate(factors)``
@@ -382,23 +415,26 @@ class _Channel:
         return total * (1.0 - SINE_ROUND) / self.denominator
 
 
+def _symmetric_gram(a: np.ndarray) -> np.ndarray:
+    """A A^dagger as (M + M^dagger) / 2, M = A A^dagger: Hermitian to the bit."""
+    m = a @ _dagger(a)
+    return (m + _dagger(m)) / 2.0
+
+
 def apply_cloning(setup: CloningSetup) -> CloneOutcome:
     """Evaluate the channel: conjugate by V, trace out the environment.
 
-    The outputs are the Gram products A_i A_i^dagger of the channel's output
-    factors, which they carry; of the density invariants only their trace is
-    checked. delta_i = arccos(sqrt F_i) comes from the Bures form (see
-    _Channel).
+    The outputs carry the channel's output factors A_i, on which their trace
+    is checked; their matrices, the Gram products A_i A_i^dagger, are formed
+    when read (see DensityMatrix). delta_i = arccos(sqrt F_i) comes from the
+    Bures form (see _Channel). The setup's one evaluation serves every call.
 
     Raises SoundnessViolation if the relative error lands below the lower
     bound minus 1e-8, which no correct evaluation can do.
     """
-    channel = setup._channel()
-    factors = channel._factors(setup.v)
-    us, abs_err, rel_err = channel.evaluate(factors)
-    outs = factors @ _dagger(factors)
-    out1, out2 = (DensityMatrix._from_factor(m, a)
-                  for m, a in zip((outs + _dagger(outs)) / 2.0, factors))
+    factors, us, abs_err, rel_err = setup._evaluation()
+    out1, out2 = (DensityMatrix._from_factor(a, partial(_symmetric_gram, a))
+                  for a in factors)
     delta1, delta2 = _angle(us).tolist()
     return CloneOutcome(out1, out2, delta1, delta2, abs_err, rel_err)
 
@@ -461,11 +497,12 @@ def proof_chain_check(setup: CloningSetup) -> ProofChainReport:
     actual-output angle (triangle steps); the actual outputs keep overlap at
     least f^N * phi; hence their angle's sine stays below
     sqrt(1 - f^(2N) phi^2); sines are subadditive on [0, pi/2]; and the
-    relative error therefore sits above the closed-form bound.
+    relative error therefore sits above the closed-form bound. It reads the
+    setup's one evaluation, which apply_cloning shares, and raises
+    SoundnessViolation as apply_cloning does.
     """
+    factors, us, _, rel_err = setup._evaluation()
     channel = setup._channel()
-    factors = channel._factors(setup.v)
-    us, _, rel_err = channel.evaluate(factors)
     delta1, delta2 = _angle(us).tolist()
     # R^dagger from a QR of A^dagger is a factor of the same output at most
     # o columns wide; the e * k wide A would cost an (e * k)^2 SVD

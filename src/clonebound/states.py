@@ -13,6 +13,7 @@ a scalar bisection finds it, and the unitary is built once, at the root.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,45 +71,56 @@ class DensityMatrix:
     The state is fixed after construction: ``matrix`` is a read-only array
     and cannot be reassigned. The state keeps the one eigendecomposition its
     validation ran, or the factor K, K K^dagger = matrix, it was built from;
-    its roots, factors and purifications are all derived from that. Its PSD
-    root is formed on first use and kept, read-only, so every overlap
-    computation on the state shares one root.
+    its roots, factors and purifications are all derived from that. A state
+    built from a factor forms its matrix only when ``matrix``, ``_eigen`` or
+    ``to_dict`` first reads it, and keeps it from then on; ``dim`` and the
+    overlaps read the factor. Its PSD root is formed on first use and kept,
+    read-only, so every overlap computation on the state shares one root.
     """
 
-    __slots__ = ("_matrix", "_eig", "_factor", "_root")
+    __slots__ = ("_matrix", "_eig", "_factor", "_root", "_form")
 
     def __init__(self, matrix):
         a = linalg._fixed_matrix(matrix)
-        self._hold(a, _require_density(a), None)
+        self._hold(a, _require_density(a))
 
     @classmethod
-    def _from_factor(cls, matrix: np.ndarray, factor: np.ndarray) -> "DensityMatrix":
-        """Wrap ``matrix`` = K K^dagger, built Hermitian by the caller, with its
-        factor K = ``factor``. A Gram product is PSD, so of the density
-        invariants only the unit trace is checked."""
-        _require_unit_trace(matrix)
+    def _from_factor(cls, factor: np.ndarray, form) -> "DensityMatrix":
+        """The state K K^dagger of its factor K = ``factor``, whose matrix
+        ``form()`` builds, Hermitian, by the caller's rule on first read. A
+        Gram product is PSD and its trace is ||K||_F^2, so of the density
+        invariants only that norm is checked, on the factor."""
+        trace = float(np.vdot(factor, factor).real)
+        if abs(trace - 1.0) > TOL_UNIT:
+            raise NotDensity(f"trace {trace} not 1 within {TOL_UNIT}")
         rho = cls.__new__(cls)
-        rho._hold(matrix, None, factor)
+        rho._hold(None, None, factor, form)
         return rho
 
-    def _hold(self, matrix: np.ndarray, eig, factor) -> None:
-        matrix.flags.writeable = False
+    def _hold(self, matrix, eig, factor=None, form=None) -> None:
+        if matrix is not None:
+            matrix.flags.writeable = False
         self._matrix, self._eig, self._factor, self._root = matrix, eig, factor, None
+        self._form = form
 
     @property
     def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            m = self._form()
+            m.flags.writeable = False
+            self._matrix, self._form = m, None
         return self._matrix
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return (self._matrix if self._factor is None else self._factor).shape[0]
 
     def _eigen(self):
         """(w, u) with ascending w and matrix = u diag(w) u^dagger: the
         decomposition validation ran or, for a state built from a factor, one
         eigh of the matrix on first use, kept from then on."""
         if self._eig is None:
-            self._eig = np.linalg.eigh(self._matrix)
+            self._eig = np.linalg.eigh(self.matrix)
         return self._eig
 
     def _root_factor(self) -> np.ndarray:
@@ -135,7 +147,7 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
     def to_dict(self) -> dict:
-        return {"dim": self.dim, "entries": matrix_to_entries(self._matrix)}
+        return {"dim": self.dim, "entries": matrix_to_entries(self.matrix)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DensityMatrix":
@@ -155,16 +167,22 @@ def _densities(m: np.ndarray) -> list[DensityMatrix]:
     states = []
     for i in range(a.shape[0]):
         rho = DensityMatrix.__new__(DensityMatrix)
-        rho._hold(a[i], (w[i], u[i]), None)
+        rho._hold(a[i], (w[i], u[i]))
         states.append(rho)
     return states
 
 
 def _blank_ancilla(dim: int) -> DensityMatrix:
-    """The pure blank register |0><0| on C^dim, with its factor e_0."""
-    blank = np.zeros((dim, dim), dtype=complex)
-    blank[0, 0] = 1.0
-    return DensityMatrix._from_factor(blank, blank[:, :1].copy())
+    """The pure blank register |0><0| on C^dim, with its factor e_0; its
+    matrix is formed when read."""
+    def form():
+        blank = np.zeros((dim, dim), dtype=complex)
+        blank[0, 0] = 1.0
+        return blank
+
+    factor = np.zeros((dim, 1), dtype=complex)
+    factor[0, 0] = 1.0
+    return DensityMatrix._from_factor(factor, form)
 
 
 class PureState:
@@ -192,7 +210,8 @@ class PureState:
         return self._amp.size
 
     def density(self) -> DensityMatrix:
-        """|y><y| as a DensityMatrix with its factor y.
+        """|y><y| as a DensityMatrix with its factor y, its matrix formed
+        when read.
 
         Of the density invariants only the trace |y|^2 = 1 within TOL_UNIT is
         checked: the state has passed the finiteness and dimension checks,
@@ -201,11 +220,15 @@ class PureState:
         mirror of the lower one and its diagonal by its real part; eigh reads
         nothing else, so the matrix decomposes exactly as the outer product.
         """
-        m = np.outer(self.amp, self.amp.conj())
-        m = np.tril(m)
-        m += linalg._dagger(np.tril(m, -1))
-        np.fill_diagonal(m, m.diagonal().real)
-        return DensityMatrix._from_factor(m, self.amp[:, None].copy())
+        amp = self.amp
+
+        def form():
+            m = np.tril(np.outer(amp, amp.conj()))
+            m += linalg._dagger(np.tril(m, -1))
+            np.fill_diagonal(m, m.diagonal().real)
+            return m
+
+        return DensityMatrix._from_factor(amp[:, None], form)
 
     def __repr__(self) -> str:
         return f"PureState(dim={self.dim})"
@@ -357,8 +380,8 @@ def _max_unitary(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _shifted(q: np.ndarray) -> np.ndarray:
     """Q C, with C the cyclic shift e_j -> e_{(j+1) mod d}, a permutation with
     zero diagonal for d >= 2: column j of Q C is column j + 1 (mod d) of Q,
-    so no product is formed."""
-    return np.roll(q, -1, axis=1)
+    so no product is formed, only a copy of Q's columns in that order."""
+    return np.concatenate((q[:, 1:], q[:, :1]), axis=1)
 
 
 def _zero_unitary(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -400,15 +423,26 @@ def _root_phases(d: int) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(d) - (d - 1) // 2) / d
 
 
+@functools.lru_cache(maxsize=8)
+def _dft_frame(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag(lam), F) of the walk at dimension d, both read-only and built
+    once per d (the last few d are kept): lam_k = exp(i theta_k), theta the
+    phases of _root_phases, and the DFT matrix F[j, k] = exp(i j theta_k) /
+    sqrt(d)."""
+    theta = _root_phases(d)
+    frame = (np.diag(np.exp(1j * theta)),
+             np.exp(1j * np.multiply.outer(np.arange(d), theta)) / np.sqrt(d))
+    for a in frame:
+        a.flags.writeable = False
+    return frame
+
+
 def _walk_unitary(p: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
     """The walk's V(t) = (Q C F) diag(lam^t) (P F)^dagger, in the DFT
-    eigenbasis of its step (see target_overlap_unitary): F[j, k] =
-    exp(i j theta_k) / sqrt(d) and lam_k = exp(i theta_k). lam^t is the
-    diagonal case of linalg.unitary_power."""
-    d = p.shape[0]
-    theta = _root_phases(d)
-    f = np.exp(1j * np.multiply.outer(np.arange(d), theta)) / np.sqrt(d)
-    lam_t = np.diagonal(linalg.unitary_power(np.diag(np.exp(1j * theta)), t))
+    eigenbasis of its step (see target_overlap_unitary), with diag(lam) and
+    F from _dft_frame. lam^t is the diagonal case of linalg.unitary_power."""
+    roots, f = _dft_frame(p.shape[0])
+    lam_t = np.diagonal(linalg.unitary_power(roots, t))
     return ((_shifted(q) @ f) * lam_t) @ linalg._dagger(p @ f)
 
 

@@ -391,13 +391,16 @@ def test_soundness_guard_fires_on_a_faulty_channel(monkeypatch):
     # so a channel that outputs the ideal clones breaks the theorem
     rho1, rho2 = _pure(0.0), _pure(0.9)
     ups = _blank(2)
-    setup = CloningSetup(rho1, rho2, ups, ups, np.eye(4, dtype=complex), 1, 2, 1)
+    def setup():
+        return CloningSetup(rho1, rho2, ups, ups, np.eye(4, dtype=complex), 1, 2, 1)
+
     assert lower_bound(math.sqrt(fidelity(rho1, rho2)), 1.0) > 0.2
-    assert apply_cloning(setup).relative_error > 0.1
+    assert apply_cloning(setup()).relative_error > 0.1
+    # the fault is in place before the setup's first, and only, evaluation
     monkeypatch.setattr(cloning._Channel, "_factors",
                         lambda self, v: self.ideal_factors)
     with pytest.raises(SoundnessViolation):
-        apply_cloning(setup)
+        apply_cloning(setup())
     with pytest.raises(SoundnessViolation):
         minimize_relative_error(rho1, rho2, ups, ups, dims=(1, 2, 1),
                                 cfg=OptimizerConfig(restarts=1, iterations=1))
@@ -415,7 +418,7 @@ def test_a_wrong_ideal_trips_the_denominator_cross_check(monkeypatch):
         cloning._Channel(rho1, rho2, _blank(2), _blank(2), 1, 2)
 
 
-def test_a_setup_builds_one_channel_and_evaluates_it_on_every_call(monkeypatch):
+def test_a_setup_evaluates_its_channel_once_and_checks_the_bound_on_every_call(monkeypatch):
     builds, evaluations = [], []
     init, evaluate = cloning._Channel.__init__, cloning._Channel.evaluate
     monkeypatch.setattr(cloning._Channel, "__init__",
@@ -426,23 +429,26 @@ def test_a_setup_builds_one_channel_and_evaluates_it_on_every_call(monkeypatch):
     setup = CloningSetup(_pure(0.0), _pure(0.9), ups, ups, np.eye(4, dtype=complex), 1, 2, 1)
     out = apply_cloning(setup)
     assert proof_chain_check(setup).all_hold
-    assert (len(builds), len(evaluations)) == (1, 2)
-    # a bound raised above the evaluated error must trip both calls' guard
+    assert (len(builds), len(evaluations)) == (1, 1)
+    # a bound raised above the kept error must trip both calls' guard
     setup._channel().bound = out.relative_error + 1.0
     with pytest.raises(SoundnessViolation):
         apply_cloning(setup)
     with pytest.raises(SoundnessViolation):
         proof_chain_check(setup)
-    assert len(builds) == 1
+    assert (len(builds), len(evaluations)) == (1, 1)
 
 
 def test_setup_fields_are_fixed_after_construction():
     setup = perfect_cloning_setup(_pure(0.0), _pure(0.9), 0.5)
     apply_cloning(setup)
     for name in ("rho1", "rho2", "upsilon1", "upsilon2", "v", "n_in", "n_out",
-                 "env_dim", "_chan"):
+                 "env_dim", "_chan", "_eval"):
         with pytest.raises(AttributeError):
             setattr(setup, name, getattr(setup, name))
+    # the kept output factors are read-only too
+    with pytest.raises(ValueError):
+        setup._eval[0][0, 0, 0] = 0.0
 
 
 def test_a_setups_unitary_is_read_only_and_apart_from_the_callers_array():
@@ -517,6 +523,105 @@ def test_each_state_forms_its_root_once(monkeypatch):
             with pytest.raises(ValueError):
                 root[0, 0] = 0.0
         assert len(roots) == 2
+
+
+def _old_pure_density(amp: np.ndarray) -> np.ndarray:
+    """PureState.density's matrix as it was formed eagerly."""
+    m = np.tril(np.outer(amp, amp.conj()))
+    m += linalg._dagger(np.tril(m, -1))
+    np.fill_diagonal(m, m.diagonal().real)
+    return m
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_factor_built_states_form_their_matrix_on_first_read_as_before():
+    for d in (2, 3, 4):
+        rng = np.random.default_rng([97, d])
+        rho1 = DensityMatrix(oracles.random_density(rng, d, d - 1))
+        rho2 = DensityMatrix(oracles.random_density(rng, d, d))
+        phi = 0.6 * math.sqrt(fidelity(rho1, rho2))
+        y1, _ = purifications_with_overlap(rho1, rho2, phi)
+        setup = perfect_cloning_setup(rho1, rho2, phi)
+        blank = _blank_ancilla(d * d)
+        blank_setup = CloningSetup(rho1, rho2, blank, blank, oracles.haar_unitary(rng, d ** 3),
+                                   1, 2, d)
+        outs = [apply_cloning(s) for s in (setup, blank_setup)]
+        pure, square = y1.density(), tensor_power(rho1, 3)
+        # the old eager matrices: the mirrored outer product, e_0 e_0^dagger,
+        # the Kronecker power, and the stacked, symmetrized Gram products
+        old_blank = np.zeros((d * d, d * d), dtype=complex)
+        old_blank[0, 0] = 1.0
+        expected = [(pure, _old_pure_density(y1.amp)), (blank, old_blank),
+                    (square, linalg._kron(linalg._kron(rho1.matrix, rho1.matrix),
+                                          rho1.matrix))]
+        for s, out in zip((setup, blank_setup), outs):
+            factors = s._channel()._factors(s.v)
+            grams = factors @ linalg._dagger(factors)
+            grams = (grams + linalg._dagger(grams)) / 2.0
+            expected += [(out.out1, grams[0]), (out.out2, grams[1])]
+        states = [state for state, _ in expected] + [setup.upsilon1, setup.upsilon2]
+        # dimension, factors and overlaps read the factor alone
+        for state in states:
+            assert state.dim == state._psd_factor().shape[0]
+        assert abs(fidelity(outs[0].out1, tensor_power(rho1, 2)) - 1.0) <= 1e-9
+        assert 0.0 <= fidelity(pure, pure) <= 1.0 and fidelity(blank, blank) == 1.0
+        assert fidelity(outs[1].out2, tensor_power(rho2, 2)) <= 1.0
+        proof_chain_check(setup)
+        assert all(state._matrix is None for state in states)
+        for state, old in expected:
+            first = state.matrix
+            assert _same_bits(first, old)
+            assert state.matrix is first and not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 0.0
+        # a blank-ancilla search reads the blank's factor alone
+        blank = _blank_ancilla(d)
+        minimize_relative_error(rho1, rho2, blank, blank, dims=(1, 2, 1),
+                                cfg=OptimizerConfig(restarts=2, iterations=5))
+        assert blank._matrix is None
+
+
+def test_a_factor_off_unit_trace_is_refused_before_its_matrix_is_formed():
+    formed = []
+
+    def form():
+        formed.append(1)
+        return np.eye(3, dtype=complex)
+
+    k = np.eye(3, 2, dtype=complex) / math.sqrt(2.0)
+    DensityMatrix._from_factor(k * math.sqrt(1.0 + 0.5 * linalg.TOL_UNIT), form)
+    # a squared norm off by 1.5 TOL_UNIT, whose norm is off by 0.75 TOL_UNIT
+    for scale in (1.0 + 1.5 * linalg.TOL_UNIT, 1.0 - 1.5 * linalg.TOL_UNIT, 2.0, 0.0):
+        with pytest.raises(NotDensity):
+            DensityMatrix._from_factor(k * math.sqrt(scale), form)
+    assert not formed
+
+
+def test_a_pair_runs_six_svds_and_two_eighs_and_a_second_apply_cloning_none(monkeypatch):
+    calls = []
+    for name in ("svd", "eigh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda m, *a, _n=name, _solve=solve, **k:
+                            calls.append(_n) or _solve(m, *a, **k))
+    for d in (2, 3, 4):
+        rng = np.random.default_rng([101, d])
+        m1 = oracles.random_density(rng, d, d - 1)
+        m2 = oracles.random_density(rng, d, d)
+        phi = 0.6 * math.sqrt(oracles.fidelity_sqrtm(m1, m2))
+        calls.clear()
+        setup = perfect_cloning_setup(DensityMatrix(m1), DensityMatrix(m2), phi)
+        out = apply_cloning(setup)
+        assert proof_chain_check(setup).all_hold
+        assert (calls.count("svd"), calls.count("eigh"), len(calls)) == (6, 2, 8)
+        calls.clear()
+        again = apply_cloning(setup)
+        assert not calls
+        assert (again.relative_error, again.delta1, again.delta2) == (
+            out.relative_error, out.delta1, out.delta2)
 
 
 def test_a_near_copy_reads_its_true_sine():

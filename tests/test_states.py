@@ -396,6 +396,43 @@ def test_target_overlap_walk_meets_phi_at_large_dimension(d):
         assert abs(overlap_under(res.v, rho1, rho2) - phi) <= linalg.TOL_ROOT
 
 
+def _old_walk_unitary(p, q, t):
+    """The walk's V(t) as it was built, with its frame formed on every call."""
+    d = p.shape[0]
+    theta = states._root_phases(d)
+    f = np.exp(1j * np.multiply.outer(np.arange(d), theta)) / np.sqrt(d)
+    lam_t = np.diagonal(linalg.unitary_power(np.diag(np.exp(1j * theta)), t))
+    return ((np.roll(q, -1, axis=1) @ f) * lam_t) @ linalg._dagger(p @ f)
+
+
+def test_the_walks_cached_frame_and_column_shift_change_no_bit():
+    rng = np.random.default_rng(103)
+    for d in range(1, 9):
+        q = oracles.haar_unitary(rng, d)
+        assert states._shifted(q).tobytes() == np.roll(q, -1, axis=1).tobytes()
+        roots, f = states._dft_frame(d)
+        assert states._dft_frame(d)[1] is f
+        theta = states._root_phases(d)
+        assert np.array_equal(roots, np.diag(np.exp(1j * theta)))
+        assert np.array_equal(f, np.exp(1j * np.multiply.outer(np.arange(d), theta))
+                              / np.sqrt(d))
+        for a in (roots, f):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+    cases = 0
+    for d in range(2, 7):
+        for r1 in range(1, d + 1):
+            rho1, rho2, _, _, cap = _rooted_pair(rng, d, r1, d)
+            for phi in (rng.uniform(0.0, cap), rng.uniform(0.0, cap)):
+                res = target_overlap_unitary(rho1, rho2, phi)
+                assert 0.0 < res.path_parameter < 1.0
+                _, _, p, q = states._overlap_frame(rho1, rho2)
+                old = _old_walk_unitary(p, q, res.path_parameter)
+                assert res.v.tobytes() == old.tobytes()
+                cases += 1
+    assert cases == 40
+
+
 def test_path_overlap_closed_form_matches_schur_power():
     rng = np.random.default_rng(71)
     for d in range(2, 7):
